@@ -34,7 +34,7 @@ bench-serve:  ## the serving-layer gates (cached >= 50x rebuild, batch >= 5x sin
 bench-serve-smoke:  ## the same serving gates under a seconds-long load (functional contracts only)
 	BENCH_SERVE_SMOKE=1 $(PYTHON) -m pytest benchmarks/test_bench_perf_serve.py -m bench -q
 
-bench-packed:  ## the packed-snapshot gates (uncached match <= 5.87 µs, resident cut >= 5x)
+bench-packed:  ## the packed-snapshot gates (uncached match <= 5.87 µs, resident cut >= 5x, pack_history <= 1/3 of a full pack per version)
 	$(PYTHON) -m pytest benchmarks/test_bench_perf_packed.py -m bench -q -s
 
 bench-update:  ## the update-loop gates (swap propagation < 250ms, SLO gauges exact vs journal)

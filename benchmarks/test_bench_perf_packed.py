@@ -1,6 +1,6 @@
-"""PERF — packed zero-copy snapshots: the two gates plus mmap fan-out.
+"""PERF — packed zero-copy snapshots: the three gates plus mmap fan-out.
 
-Three claims guard the ``repro.psl.packed`` encoding:
+Four claims guard the ``repro.psl.packed`` encoding:
 
 * **lookup gate** — an *uncached* packed match must come in at or
   under 5.87 µs/hostname, the measured cost of the previous serving
@@ -11,6 +11,10 @@ Three claims guard the ``repro.psl.packed`` encoding:
   as one packed buffer must cut memory at least 5x against the same
   residency as dict tries (extrapolated from a sampled subset; building
   all 1,142 dict tries would need gigabytes).
+* **pack gate** — ``pack_history`` re-packs only the TLD groups each
+  delta touched, so its time per version must be at most a third of a
+  full ``pack_rules`` of one version, both timed in the same process
+  (a ratio, so the gate holds on any host).
 * **fan-out** — N reader processes ``mmap`` one packed artifact file
   and answer bit-identically to each other and to the dict oracle;
   the OS shares the physical pages, so process count stops multiplying
@@ -43,6 +47,8 @@ pytestmark = pytest.mark.bench
 
 GATE_MATCH_US = 5.87        # the old cached-LRU path, µs per hostname
 GATE_RESIDENT_RATIO = 5.0   # packed full history vs dict tries
+GATE_PACK_RATIO = 1 / 3     # pack_history per version vs one full pack_rules
+PACK_SAMPLE = 25            # versions packed in full for the comparison
 TRIALS = 7
 DICT_SAMPLE = 25            # versions measured to extrapolate dict cost
 WORKERS = 4
@@ -121,6 +127,36 @@ def test_bench_packed_resident_gate(tables_world, packed_blob):
     print("\n".join(lines))
     save_artifact("bench_perf_packed_resident.txt", "\n".join(lines))
     assert ratio >= GATE_RESIDENT_RATIO
+
+
+def test_bench_packed_pack_gate(tables_world):
+    store = tables_world.store
+    versions = len(store)
+    step = max(1, versions // PACK_SAMPLE)
+    rule_sets = [store.rules_at(i) for i in range(0, versions, step)][:PACK_SAMPLE]
+
+    begin = time.perf_counter()
+    for rules in rule_sets:
+        pack_rules(rules)
+    full_ms = (time.perf_counter() - begin) / len(rule_sets) * 1e3
+
+    begin = time.perf_counter()
+    blob = pack_history(store)
+    history_s = time.perf_counter() - begin
+    incremental_ms = history_s / versions * 1e3
+
+    lines = [
+        f"pack_history ({versions} versions):  {history_s:6.2f} s "
+        f"= {incremental_ms:6.2f} ms/version ({len(blob) / 1e6:.1f} MB)",
+        f"pack_rules, full version:      {full_ms:6.2f} ms/version "
+        f"({len(rule_sets)} versions sampled)",
+        f"incremental/full ratio:        {incremental_ms / full_ms:6.3f}   "
+        f"(gate: <= {GATE_PACK_RATIO:.3f})",
+    ]
+    print()
+    print("\n".join(lines))
+    save_artifact("bench_perf_packed_pack.txt", "\n".join(lines))
+    assert incremental_ms <= GATE_PACK_RATIO * full_ms
 
 
 _READER = """

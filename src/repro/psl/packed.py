@@ -44,13 +44,24 @@ The ``child_count`` word's low 29 bits are the count; its high bits
 flag "wildcard child present" / "rule present" / "exception present",
 so the walk learns a typical node's whole shape from one read.
 
+Node order within a version: the root at 0, then the TLD block (every
+root child, sorted by label id), then the descendants of the TLDs
+group by group.  The TLDs are split into about 64 groups of
+consecutive label ids, and each group's descendants are laid out
+breadth-first.  The reader relies on none of this beyond each child
+block being contiguous and sorted; the grouping is what lets the
+writer re-pack only the groups a version's delta touched.
+
 Rule records are ``(meta, labels_start)`` pairs: ``meta`` packs the
 rule kind (2 bits), section (1 bit), and label count; ``labels_start``
-indexes the flat rule-label-id array.  :class:`PackedTrie` materializes
-a real :class:`~repro.psl.rules.Rule` only when one is *returned*, and
-caches it by rule id — so steady-state lookups are integer walks that
-hand back pointer-identical rule objects, bit-identical to what the
-dict trie answers.
+indexes the flat rule-label-id array.  They follow the node walk: group
+by group, a group's TLD rules first, then its descendants' in
+breadth-first order, a node's normal or wildcard rule before its
+exception rule.  :class:`PackedTrie` materializes a real
+:class:`~repro.psl.rules.Rule` only when one is *returned*, and caches
+it by rule id — so steady-state lookups are integer walks that hand
+back pointer-identical rule objects, bit-identical to what the dict
+trie answers.
 
 Integrity mirrors the artifact store's posture: a truncated or
 bit-flipped buffer fails loading with :class:`PackedFormatError`
@@ -67,7 +78,7 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.psl.errors import PslError
 from repro.psl.rules import Rule, RuleKind, Section
@@ -115,9 +126,8 @@ _CRC_START = 16
 #: rules_off, rule_label_count, rule_labels_off, two reserved words.
 _VERSION_WORDS = 8
 
-_KIND_CODES = {RuleKind.NORMAL: 0, RuleKind.WILDCARD: 1, RuleKind.EXCEPTION: 2}
+#: Rule kind codes are indexes into _KINDS, section codes into _SECTIONS.
 _KINDS = (RuleKind.NORMAL, RuleKind.WILDCARD, RuleKind.EXCEPTION)
-_SECTION_CODES = {Section.ICANN: 0, Section.PRIVATE: 1}
 _SECTIONS = (Section.ICANN, Section.PRIVATE)
 
 
@@ -143,16 +153,24 @@ class PackedBufferInUseError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _rule_sort_key(rule: Rule) -> tuple:
-    """Canonical rule order (the PublicSuffixList fingerprint order)."""
-    return (rule.labels, rule.kind.value, rule.section.value)
+# Both helpers read the enum members' plain ``_value_`` attribute: the
+# ``value`` descriptor costs a Python-level call per rule.
+
+
+def _rule_sort_key(rule: Rule) -> str:
+    """Canonical rule order (the PublicSuffixList fingerprint order).
+
+    The labels joined by ``"\\x01"``, then kind and section, each after a
+    ``"\\0"``.  Both separators sort below every label character (LDH
+    and ``*``), so these strings order exactly like the tuples
+    ``(labels, kind, section)`` and compare at C string speed.
+    """
+    return "\0".join(("\x01".join(rule.labels), rule.kind._value_, rule.section._value_))
 
 
 def _fingerprint_chunk(rule: Rule) -> bytes:
     """One rule's contribution to the canonical rule-set fingerprint."""
-    return (
-        rule.text.encode("utf-8") + b"\n" + rule.section.value.encode("ascii") + b"\n"
-    )
+    return f"{rule.text}\n{rule.section._value_}\n".encode()
 
 
 class _SortedRuleSet:
@@ -160,97 +178,327 @@ class _SortedRuleSet:
 
     Sorting ~9k rules from scratch for each of 1,142 versions is the
     slow way to compute per-version fingerprints; applying each
-    version's few-rule delta to one sorted list is the fast way.
+    version's few-rule delta to one sorted list is the fast way.  The
+    first fill (a whole rule set at once) is one sort instead.
     """
 
     __slots__ = ("_keys", "_chunks")
 
     def __init__(self) -> None:
-        self._keys: list[tuple] = []
+        self._keys: list[str] = []
         self._chunks: list[bytes] = []
 
-    def add(self, rule: Rule) -> None:
-        key = _rule_sort_key(rule)
-        index = bisect_left(self._keys, key)
-        if index < len(self._keys) and self._keys[index] == key:
-            return  # identical rule already present
-        self._keys.insert(index, key)
-        self._chunks.insert(index, _fingerprint_chunk(rule))
-
-    def remove(self, rule: Rule) -> None:
-        key = _rule_sort_key(rule)
-        index = bisect_left(self._keys, key)
-        if index < len(self._keys) and self._keys[index] == key:
-            del self._keys[index]
-            del self._chunks[index]
+    def update(self, removed: Iterable[Rule], added: Iterable[Rule]) -> None:
+        for rule in removed:
+            key = _rule_sort_key(rule)
+            index = bisect_left(self._keys, key)
+            if index < len(self._keys) and self._keys[index] == key:
+                del self._keys[index]
+                del self._chunks[index]
+        if not self._keys:
+            by_key = {_rule_sort_key(rule): rule for rule in added}
+            self._keys = sorted(by_key)
+            self._chunks = [_fingerprint_chunk(by_key[key]) for key in self._keys]
+            return
+        for rule in added:
+            key = _rule_sort_key(rule)
+            index = bisect_left(self._keys, key)
+            if index < len(self._keys) and self._keys[index] == key:
+                continue  # identical rule already present
+            self._keys.insert(index, key)
+            self._chunks.insert(index, _fingerprint_chunk(rule))
 
     def fingerprint(self) -> bytes:
-        digest = hashlib.sha256()
-        for chunk in self._chunks:
-            digest.update(chunk)
-        return digest.digest()
+        return hashlib.sha256(b"".join(self._chunks)).digest()
 
 
-def _flatten(
-    root: TrieNode, label_id: dict[str, int]
-) -> tuple[array, array, array, array, array, array, array]:
-    """Compile one live dict trie into the packed arrays.
+#: Root children (TLDs) are split into about this many groups of
+#: consecutive label ids.  A version re-packs only the groups its delta
+#: touched; every other group's arrays are reused as they are.
+_GROUPS = 64
+#: ...but a group holds at least this many TLDs: each group adds a
+#: dozen parts to every version, and each part costs ~130 bytes of
+#: object and join overhead, so tiny groups would outweigh their data.
+_MIN_GROUP_TLDS = 16
 
-    Breadth-first with child blocks reserved contiguously: when node
-    ``i`` is processed its children are appended as one run sorted by
-    label id, so ``(child_start[i], child_count[i])`` describes a
-    binary-searchable slice.
+
+class _Relocatable:
+    """A u32 array that can be rebased in one big-integer addition.
+
+    ``place(base)`` returns the array's bytes with ``base`` added to
+    every entry except the NONE_U32 ones (and, for rule records, only
+    to the odd ``labels_start`` words).  Read as one little-endian
+    integer, the array is a sum of ``word << 32*k``; adding
+    ``base * mask``, where ``mask`` has a 1 in each word to move, adds
+    ``base`` to exactly those words.  No word overflows (a relocated
+    index stays below NONE_U32), so no carry crosses a word boundary,
+    and the whole rebase runs in C instead of one Python step per word.
     """
-    labels = array("I", (NONE_U32,))
-    child_start = array("I")
-    child_count = array("I")
-    rule_ids = array("I")
-    exc_ids = array("I")
-    rules = array("I")  # (meta, labels_start) pairs
-    rule_labels = array("I")
 
-    wildcard = label_id.get(WILDCARD_LABEL, -1)
-    order: list[TrieNode] = [root]
-    position = 0
-    while position < len(order):
-        node = order[position]
-        position += 1
-        children = node.children
-        child_start.append(len(order))
-        flags = 0
-        if node.rule is not None:
-            flags |= _CC_RULE
-        if node.exception_rule is not None:
-            flags |= _CC_EXCEPTION
-        if children:
-            block = sorted((label_id[text], child) for text, child in children.items())
-            if block[0][0] == wildcard:
-                flags |= _CC_WILDCARD
-            for lid, child in block:
-                labels.append(lid)
-                order.append(child)
-        child_count.append(len(children) | flags)
-        for slot, rule in ((rule_ids, node.rule), (exc_ids, node.exception_rule)):
-            if rule is None:
-                slot.append(NONE_U32)
-                continue
-            slot.append(len(rules) // 2)
-            meta = (
-                _KIND_CODES[rule.kind]
-                | (_SECTION_CODES[rule.section] << 2)
-                | (len(rule.labels) << 3)
+    __slots__ = ("_value", "_mask", "_size")
+
+    def __init__(self, words: array, mask: array) -> None:
+        self._size = 4 * len(words)
+        self._value = int.from_bytes(words.tobytes(), "little")
+        self._mask = int.from_bytes(mask.tobytes(), "little")
+
+    def place(self, base: int) -> bytes:
+        return (self._value + base * self._mask).to_bytes(self._size, "little")
+
+
+class _Group:
+    """One TLD group packed with group-local indexes.
+
+    The group's nodes are its TLDs (sorted by label id), then their
+    descendants breadth-first, each node's children appended as one run
+    sorted by label id so that ``(child_start, child_count)`` is a
+    binary-searchable slice.  ``child_start`` counts from the group's
+    first TLD, rule ids from the group's first rule, rule-label starts
+    from the group's first rule label.  :meth:`place` adds the bases a
+    version puts the group at, caching the result so that a group whose
+    bases did not move hands back the very same ``bytes`` objects
+    (versions share them until the final join).
+    """
+
+    __slots__ = (
+        "tld_count",
+        "node_count",
+        "rule_count",
+        "rule_label_count",
+        "_fixed",
+        "_child_start",
+        "_rule_ids",
+        "_exc_ids",
+        "_rules",
+        "_placed_at",
+        "_placed",
+    )
+
+    def __init__(
+        self, tlds: list[tuple[int, TrieNode]], label_id: dict[str, int], wildcard: int
+    ) -> None:
+        labels = array("I", [lid for lid, _ in tlds])
+        child_start = array("I")
+        child_count = array("I")
+        rule_ids = array("I")
+        exc_ids = array("I")
+        rules = array("I")  # (meta, labels_start) pairs
+        rule_labels = array("I")
+        lookup = label_id.__getitem__
+        normal, wildcard_kind, private = RuleKind.NORMAL, RuleKind.WILDCARD, Section.PRIVATE
+        order = [node for _, node in tlds]
+        position = 0
+        while position < len(order):
+            node = order[position]
+            position += 1
+            children = node.children
+            child_start.append(len(order))
+            flags = len(children)
+            if children:
+                block = sorted(zip(map(lookup, children), children.values()))
+                if block[0][0] == wildcard:
+                    flags |= _CC_WILDCARD
+                for lid, child in block:
+                    labels.append(lid)
+                    order.append(child)
+            for slot, flag, rule in (
+                (rule_ids, _CC_RULE, node.rule),
+                (exc_ids, _CC_EXCEPTION, node.exception_rule),
+            ):
+                if rule is None:
+                    slot.append(NONE_U32)
+                    continue
+                flags |= flag
+                slot.append(len(rules) >> 1)
+                # Identity tests: enum members hash in Python, slowly.
+                kind = rule.kind
+                rules.append(
+                    (0 if kind is normal else 1 if kind is wildcard_kind else 2)
+                    | (4 if rule.section is private else 0)
+                    | (len(rule.labels) << 3)
+                )
+                rules.append(len(rule_labels))
+                rule_labels.extend(map(lookup, rule.labels))
+            child_count.append(flags)
+        tld_bytes = 4 * len(tlds)
+        labels_bytes = labels.tobytes()
+        count_bytes = child_count.tobytes()
+        self.tld_count = len(tlds)
+        self.node_count = len(order)
+        self.rule_count = len(rules) >> 1
+        self.rule_label_count = len(rule_labels)
+        self._fixed = (
+            labels_bytes[:tld_bytes],
+            labels_bytes[tld_bytes:],
+            count_bytes[:tld_bytes],
+            count_bytes[tld_bytes:],
+            rule_labels.tobytes(),
+        )
+        self._child_start = _Relocatable(child_start, array("I", (1,)) * len(order))
+        self._rule_ids = _Relocatable(
+            rule_ids, array("I", [rule_id != NONE_U32 for rule_id in rule_ids])
+        )
+        self._exc_ids = _Relocatable(
+            exc_ids, array("I", [exc_id != NONE_U32 for exc_id in exc_ids])
+        )
+        self._rules = _Relocatable(rules, array("I", (0, 1)) * self.rule_count)
+        self._placed_at: tuple[int, int, int] | None = None
+        self._placed: tuple[bytes, ...] = ()
+
+    def place(self, node_shift: int, rule_base: int, label_base: int) -> tuple[bytes, ...]:
+        """The group's parts, relocated: TLD segments, descendant segments, rules.
+
+        Returns ``(labels, child_start, child_count, rule, exception)``
+        for the TLD records, the same five for the descendants, then the
+        rule records and the rule-label ids.
+        """
+        at = (node_shift, rule_base, label_base)
+        if at != self._placed_at:
+            tld_bytes = 4 * self.tld_count
+            labels_tld, labels_desc, count_tld, count_desc, rule_labels = self._fixed
+            child_start = self._child_start.place(node_shift)
+            rule_ids = self._rule_ids.place(rule_base)
+            exc_ids = self._exc_ids.place(rule_base)
+            self._placed = (
+                labels_tld,
+                child_start[:tld_bytes],
+                count_tld,
+                rule_ids[:tld_bytes],
+                exc_ids[:tld_bytes],
+                labels_desc,
+                child_start[tld_bytes:],
+                count_desc,
+                rule_ids[tld_bytes:],
+                exc_ids[tld_bytes:],
+                self._rules.place(label_base),
+                rule_labels,
             )
-            rules.append(meta)
-            rules.append(len(rule_labels))
-            rule_labels.extend(label_id[text] for text in rule.labels)
-    return labels, child_start, child_count, rule_ids, exc_ids, rules, rule_labels
+            self._placed_at = at
+        return self._placed
 
 
-def _assemble(
-    label_list: Sequence[str],
-    versions: Iterable[tuple[tuple[array, ...], bytes]],
-) -> bytes:
-    """Glue the label table and per-version arrays into one blob."""
+class _PackedVersion(NamedTuple):
+    """One version's section sizes and its body as a list of byte parts."""
+
+    node_count: int
+    rule_count: int
+    rule_label_count: int
+    parts: list[bytes]
+    fingerprint: bytes
+
+
+class _Writer:
+    """The one packing path: replay deltas over a live trie, pack versions.
+
+    Root children are split into at most :data:`_GROUPS` runs of
+    consecutive label ids.  :meth:`apply` updates one live
+    :class:`~repro.psl.trie.SuffixTrie` and marks the group of every
+    changed rule's first label dirty; :meth:`pack` rebuilds only the
+    dirty groups and reuses every other group's arrays.  A TLD node
+    that is pruned and created again is covered by the same marks, as
+    both the removal and the insert name its group.  Dirty marks pile
+    up until the next :meth:`pack`, so a caller may replay many deltas
+    between two packed versions.
+
+    Node order within a version: the root, then the TLD block (every
+    root child, sorted by label id, group after group), then each
+    group's descendants breadth-first, group after group.  Every child
+    block is still one contiguous run sorted by label id, which is all
+    the reader needs.  Rule records follow the same walk: group by
+    group, a group's TLD rules before its descendants', a node's normal
+    or wildcard rule before its exception rule.
+    """
+
+    def __init__(self, label_list: Sequence[str], tld_labels: Iterable[str]) -> None:
+        self._label_id = {text: index for index, text in enumerate(label_list)}
+        self._wildcard = self._label_id.get(WILDCARD_LABEL, -1)
+        tlds = sorted(self._label_id[text] for text in set(tld_labels))
+        size = max(_MIN_GROUP_TLDS, -(-len(tlds) // _GROUPS))
+        self._members = [
+            [(lid, label_list[lid]) for lid in tlds[start : start + size]]
+            for start in range(0, len(tlds), size)
+        ]
+        self._group_of = {
+            text: group for group, members in enumerate(self._members) for _, text in members
+        }
+        self._groups: list[_Group | None] = [None] * len(self._members)
+        self._dirty: set[int] = set()
+        self._live = SuffixTrie()
+        self._tracker = _SortedRuleSet()
+
+    def apply(self, removed: Iterable[Rule], added: Iterable[Rule]) -> None:
+        """Apply one delta (removals first) and mark the groups it touches."""
+        group_of = self._group_of
+        dirty = self._dirty
+        for rule in removed:
+            if self._live.remove(rule):
+                dirty.add(group_of[rule.labels[0]])
+        for rule in added:
+            self._live.insert(rule)
+            dirty.add(group_of[rule.labels[0]])
+        self._tracker.update(removed, added)
+
+    def pack(self) -> _PackedVersion:
+        """Pack the live trie, rebuilding only the groups marked dirty."""
+        roots = self._live._root.children
+        for group in self._dirty:
+            tlds = [
+                (lid, roots[text]) for lid, text in self._members[group] if text in roots
+            ]
+            self._groups[group] = (
+                _Group(tlds, self._label_id, self._wildcard) if tlds else None
+            )
+        self._dirty.clear()
+        groups = [group for group in self._groups if group is not None]
+        tld_count = sum(group.tld_count for group in groups)
+        root_count = tld_count
+        if WILDCARD_LABEL in roots:
+            root_count |= _CC_WILDCARD
+        # Descendants of group g start right after the TLD block and the
+        # descendants of groups before g.
+        desc_start = 1 + tld_count
+        rule_base = label_base = 0
+        placed = []
+        for group in groups:
+            placed.append(group.place(desc_start - group.tld_count, rule_base, label_base))
+            desc_start += group.node_count - group.tld_count
+            rule_base += group.rule_count
+            label_base += group.rule_label_count
+        # The root's label, child_start, child_count, rule and exception.
+        root = (_NONE_WORD, _word(1), _word(root_count), _NONE_WORD, _NONE_WORD)
+        parts: list[bytes] = []
+        for column in range(5):
+            parts.append(root[column])
+            parts.extend(part[column] for part in placed)
+            parts.extend(part[5 + column] for part in placed)
+        parts.extend(part[10] for part in placed)
+        parts.extend(part[11] for part in placed)
+        return _PackedVersion(
+            desc_start, rule_base, label_base, parts, self._tracker.fingerprint()
+        )
+
+
+def _word(value: int) -> bytes:
+    return array("I", (value,)).tobytes()
+
+
+_NONE_WORD = _word(NONE_U32)
+
+
+#: zlib releases the GIL for inputs over 5 kB, and taking it back from
+#: busy serving threads can cost a whole switch interval per call (the
+#: update watcher packs while the server answers requests).  Larger
+#: parts are fed to the CRC in slices of this size instead.
+_CRC_SLICE = 4096
+
+
+def _assemble(label_list: Sequence[str], versions: Sequence[_PackedVersion]) -> bytes:
+    """Glue the label table and per-version parts into one blob.
+
+    Every part is copied exactly once, into the final ``b"".join``; the
+    CRC-32 is accumulated part by part beforehand so the header can be
+    written first.
+    """
     label_blob = bytearray()
     label_offsets = array("I")
     for text in label_list:
@@ -265,54 +513,43 @@ def _assemble(
     if index < len(label_list) and label_list[index] == WILDCARD_LABEL:
         wildcard_id = index
 
-    version_records = array("I")
-    fingerprints = bytearray()
-    bodies: list[bytes] = []
-    materialized = list(versions)
-
     label_offsets_off = _HEADER_SIZE
     label_blob_off = label_offsets_off + 4 * len(label_offsets)
     version_index_off = label_blob_off + len(label_blob)
-    fingerprints_off = version_index_off + 4 * _VERSION_WORDS * len(materialized)
-    body_off = fingerprints_off + 32 * len(materialized)
+    fingerprints_off = version_index_off + 4 * _VERSION_WORDS * len(versions)
+    body_off = fingerprints_off + 32 * len(versions)
     while body_off % 4:  # keep per-version u32 arrays aligned
         body_off += 1
-    fingerprint_pad = body_off - (fingerprints_off + 32 * len(materialized))
+    fingerprint_pad = body_off - (fingerprints_off + 32 * len(versions))
 
+    version_records = array("I")
     cursor = body_off
-    for arrays, fingerprint in materialized:
-        labels, child_start, child_count, rule_ids, exc_ids, rules, rule_labels = arrays
-        node_count = len(labels)
+    for version in versions:
         nodes_off = cursor
-        rules_off = nodes_off + 4 * 5 * node_count
-        rule_labels_off = rules_off + 4 * len(rules)
-        cursor = rule_labels_off + 4 * len(rule_labels)
+        rules_off = nodes_off + 4 * 5 * version.node_count
+        rule_labels_off = rules_off + 8 * version.rule_count
+        cursor = rule_labels_off + 4 * version.rule_label_count
         version_records.extend(
             (
-                node_count,
+                version.node_count,
                 nodes_off,
-                len(rules) // 2,
+                version.rule_count,
                 rules_off,
-                len(rule_labels),
+                version.rule_label_count,
                 rule_labels_off,
                 0,
                 0,
             )
         )
-        fingerprints += fingerprint
-        body = bytearray()
-        for part in arrays:
-            body += part.tobytes()
-        bodies.append(bytes(body))
-
     total = cursor
-    blob = bytearray(
-        _HEADER.pack(
+
+    def header(crc: int) -> bytes:
+        return _HEADER.pack(
             MAGIC,
             FORMAT_VERSION,
-            0,  # crc placeholder
+            crc,
             total,
-            len(materialized),
+            len(versions),
             len(label_list),
             wildcard_id,
             label_offsets_off,
@@ -321,93 +558,81 @@ def _assemble(
             version_index_off,
             fingerprints_off,
         )
-    )
-    blob += label_offsets.tobytes()
-    blob += label_blob
-    blob += version_records.tobytes()
-    blob += fingerprints
-    blob += b"\0" * fingerprint_pad
-    for body in bodies:
-        blob += body
+
+    parts = [
+        label_offsets.tobytes(),
+        bytes(label_blob),
+        version_records.tobytes(),
+        b"".join(version.fingerprint for version in versions),
+        b"\0" * fingerprint_pad,
+    ]
+    for version in versions:
+        parts.extend(version.parts)
+    crc = zlib.crc32(header(0)[_CRC_START:])
+    for part in parts:
+        if len(part) <= _CRC_SLICE:
+            crc = zlib.crc32(part, crc)
+            continue
+        view = memoryview(part)
+        for start in range(0, len(view), _CRC_SLICE):
+            crc = zlib.crc32(view[start : start + _CRC_SLICE], crc)
+    parts.insert(0, header(crc))
+    blob = b"".join(parts)
     assert len(blob) == total, (len(blob), total)
-    crc = zlib.crc32(memoryview(blob)[_CRC_START:])
-    struct.pack_into("<I", blob, 12, crc)
-    return bytes(blob)
+    return blob
 
 
 def pack_rules(rules: Iterable[Rule]) -> bytes:
     """Pack one rule set as a single-version buffer.
 
-    The convenience path for tests and single-snapshot tools; whole
-    histories should go through :func:`pack_history` so every version
-    shares one string table.
+    The convenience path for tests, single-snapshot tools and the
+    update watcher's ingest; whole histories should go through
+    :func:`pack_history` so every version shares one string table.
     """
-    rule_list = sorted(set(rules), key=_rule_sort_key)
-    label_set: set[str] = set()
-    for rule in rule_list:
-        label_set.update(rule.labels)
-    label_list = sorted(label_set)
-    label_id = {text: index for index, text in enumerate(label_list)}
-    trie = SuffixTrie(rule_list)
-    digest = hashlib.sha256()
-    for rule in rule_list:
-        digest.update(_fingerprint_chunk(rule))
-    return _assemble(label_list, [(_flatten(trie._root, label_id), digest.digest())])
+    rule_set = set(rules)
+    label_list = sorted({text for rule in rule_set for text in rule.labels})
+    writer = _Writer(label_list, (rule.labels[0] for rule in rule_set))
+    writer.apply((), rule_set)
+    return _assemble(label_list, [writer.pack()])
 
 
 def pack_history(store: "VersionStore", *, indexes: Sequence[int] | None = None) -> bytes:
-    """Compile a whole version history into one packed buffer.
+    """Compile a version history (or the versions at ``indexes``) into one buffer.
 
-    With ``indexes=None`` every version is packed by replaying the
-    store's deltas over a single live trie (one insert/remove per
-    changed rule, 1,142 flattens — not 1,142 trie rebuilds).  An
-    explicit index subset materializes each requested version instead.
+    Every version is reached by replaying the store's deltas over one
+    live trie, and each packed version re-packs only the TLD groups
+    that changed since the previous packed one (see :class:`_Writer`).
+    ``indexes`` picks versions the way :meth:`PackedHistory.trie`
+    resolves them (negative counts from the end; anything outside
+    ``[-len(store), len(store))`` raises :class:`IndexError`); they are
+    de-duplicated and packed oldest first.
 
     Per-version fingerprints in the buffer equal
     ``PublicSuffixList(rules).fingerprint`` for the same rule set, so
     packed snapshots drop into every fingerprint-keyed cache unchanged.
     """
-    if indexes is not None:
-        chosen = sorted(set(int(index) % len(store) for index in indexes))
-        rule_sets = [store.rules_at(index) for index in chosen]
-        label_set: set[str] = set()
-        for rules in rule_sets:
-            for rule in rules:
-                label_set.update(rule.labels)
-        label_list = sorted(label_set)
-        label_id = {text: index for index, text in enumerate(label_list)}
-
-        def versions() -> Iterator[tuple[tuple[array, ...], bytes]]:
-            for rules in rule_sets:
-                ordered = sorted(rules, key=_rule_sort_key)
-                digest = hashlib.sha256()
-                for rule in ordered:
-                    digest.update(_fingerprint_chunk(rule))
-                trie = SuffixTrie(ordered)
-                yield _flatten(trie._root, label_id), digest.digest()
-
-        return _assemble(label_list, versions())
-
-    label_set = set()
-    for version in store:
-        for rule in version.delta.added:
-            label_set.update(rule.labels)
-    label_list = sorted(label_set)
-    label_id = {text: index for index, text in enumerate(label_list)}
-
-    def replayed() -> Iterator[tuple[tuple[array, ...], bytes]]:
-        live = SuffixTrie()
-        tracker = _SortedRuleSet()
-        for version in store:
-            for rule in version.delta.removed:
-                live.remove(rule)
-                tracker.remove(rule)
-            for rule in version.delta.added:
-                live.insert(rule)
-                tracker.add(rule)
-            yield _flatten(live._root, label_id), tracker.fingerprint()
-
-    return _assemble(label_list, replayed())
+    count = len(store)
+    if indexes is None:
+        chosen = range(count)
+    else:
+        chosen = set()
+        for index in indexes:
+            index = int(index)
+            if not -count <= index < count:
+                raise IndexError(f"version index {index} out of range for {count} versions")
+            chosen.add(index % count)
+        chosen = sorted(chosen)
+    replayed = store.versions[: chosen[-1] + 1] if chosen else ()
+    added = [rule for version in replayed for rule in version.delta.added]
+    label_list = sorted({text for rule in added for text in rule.labels})
+    writer = _Writer(label_list, (rule.labels[0] for rule in added))
+    wanted = set(chosen)
+    packed = []
+    for position, version in enumerate(replayed):
+        writer.apply(version.delta.removed, version.delta.added)
+        if position in wanted:
+            packed.append(writer.pack())
+    return _assemble(label_list, packed)
 
 
 # ---------------------------------------------------------------------------

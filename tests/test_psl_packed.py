@@ -24,14 +24,22 @@ import random
 import string
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.history.store import VersionStore
+from repro.psl import packed as packed_module
 from repro.psl.list import PublicSuffixList
 from repro.psl.packed import (
+    _CC_COUNT,
+    _CC_EXCEPTION,
+    _CC_RULE,
+    _CC_WILDCARD,
     MAGIC,
+    NONE_U32,
     PackedBufferInUseError,
     PackedFormatError,
     PackedHistory,
@@ -41,7 +49,7 @@ from repro.psl.packed import (
     pack_rules,
 )
 from repro.psl.rules import Rule
-from repro.psl.trie import SuffixTrie
+from repro.psl.trie import WILDCARD_LABEL, SuffixTrie
 
 CURATED = [
     "com", "net", "org", "uk", "io", "jp",
@@ -266,6 +274,244 @@ class TestPackedProperties:
         packed = PackedHistory.from_buffer(pack_rules(rules))
         assert set(packed.trie(0).iter_rules()) == set(rules)
         assert packed.fingerprint(0) == PublicSuffixList(rules).fingerprint
+
+
+# -- layout-independent differential ------------------------------------------
+
+
+def packed_shape(trie) -> dict:
+    """One packed version, canonically: path -> (flag word, rule, exception).
+
+    Walks from the root, so it holds for any node order.  Along the way
+    it checks what the reader relies on: every child block is sorted by
+    strictly rising label id, every node is reached exactly once, and
+    the rule records are dense.
+    """
+    names = trie._history._label_strings()
+    labels, child_start, child_count = trie._labels, trie._child_start, trie._child_count
+    shape: dict = {}
+    rule_ids: list[int] = []
+    stack = [(0, ())]
+    while stack:
+        node, path = stack.pop()
+        flags = child_count[node]
+        rule = exception = None
+        if trie._rule_ids[node] != NONE_U32:
+            rule_ids.append(trie._rule_ids[node])
+            rule = trie._rule(trie._rule_ids[node])
+        if trie._exc_ids[node] != NONE_U32:
+            rule_ids.append(trie._exc_ids[node])
+            exception = trie._rule(trie._exc_ids[node])
+        shape[path] = (flags, rule, exception)
+        start = child_start[node]
+        block = range(start, start + (flags & _CC_COUNT))
+        ids = [labels[child] for child in block]
+        assert ids == sorted(set(ids)), path
+        stack.extend((child, path + (names[labels[child]],)) for child in block)
+    assert len(shape) == trie.node_count
+    assert sorted(rule_ids) == list(range(len(trie)))
+    return shape
+
+
+def dict_shape(trie: SuffixTrie) -> dict:
+    """The same canonical dump for the dict trie (the oracle)."""
+    shape: dict = {}
+    stack = [((), trie._root)]
+    while stack:
+        path, node = stack.pop()
+        flags = len(node.children)
+        if WILDCARD_LABEL in node.children:
+            flags |= _CC_WILDCARD
+        if node.rule is not None:
+            flags |= _CC_RULE
+        if node.exception_rule is not None:
+            flags |= _CC_EXCEPTION
+        shape[path] = (flags, node.rule, node.exception_rule)
+        stack.extend((path + (text,), child) for text, child in node.children.items())
+    return shape
+
+
+def assert_matches_oracle(store: VersionStore, packed: PackedHistory, indexes) -> None:
+    assert len(packed) == len(indexes)
+    for position, index in enumerate(indexes):
+        rules = store.rules_at(index)
+        trie = packed.trie(position)
+        assert packed_shape(trie) == dict_shape(SuffixTrie(rules)), index
+        assert trie.fingerprint == PublicSuffixList(rules).fingerprint, index
+        assert len(trie) == len(rules), index
+
+
+#: Enough TLDs that groups hold several TLDs each.
+EDGE_TLDS = [f"t{index:03d}" for index in range(300)]
+
+
+def make_edge_store() -> VersionStore:
+    """A hand-built history hitting each hazard of group reuse.
+
+    Versions: 0 initial; 1 prunes TLD ``io`` and re-adds it as a new
+    node in the same delta; 2 prunes it outright; 3 re-adds it; 4 adds
+    a rule under every synthetic TLD (one delta across every group); 5
+    adds a wildcard and an exception directly under a TLD; 6 swaps
+    TLD-level rules; 7 is empty; 8 refills; 9 touches one group.
+    """
+    store = VersionStore()
+    live: set[Rule] = set()
+    date = datetime.date(2020, 1, 1)
+
+    def commit(added=(), removed=()):
+        nonlocal date
+        added = {Rule.parse(text) for text in added}
+        removed = {Rule.parse(text) for text in removed}
+        store.commit_rules(date, added=added, removed=removed)
+        live.difference_update(removed)
+        live.update(added)
+        date += datetime.timedelta(days=1)
+
+    commit(added=[
+        "com", "net", "uk", "co.uk", "io", "github.io", "*", "*.ck", "!www.ck",
+        "jp", "*.kawasaki.jp", "!city.kawasaki.jp", *EDGE_TLDS,
+    ])
+    commit(added=["pages.io"], removed=["io", "github.io"])
+    commit(removed=["pages.io"])
+    commit(added=["io", "github.io"])
+    commit(added=[f"x.{tld}" for tld in EDGE_TLDS])
+    commit(added=["*.t150", "!www.t150"])
+    commit(added=["org"], removed=["net"])
+    commit(removed=[rule.text for rule in live])
+    commit(added=["com", "co.uk", "*", "*.ck", "!www.ck", "t007", "x.t299"])
+    commit(added=["y.t007"])
+    return store
+
+
+class TestLayoutIndependentDifferential:
+    def test_churn_store_every_version_equals_dict_trie(self):
+        store = make_churn_store()
+        packed = PackedHistory.from_buffer(pack_history(store))
+        assert_matches_oracle(store, packed, range(len(store)))
+
+    def test_edge_store_every_version_equals_dict_trie(self):
+        store = make_edge_store()
+        assert len(store.rules_at(7)) == 0  # the empty version
+        packed = PackedHistory.from_buffer(pack_history(store))
+        assert_matches_oracle(store, packed, range(len(store)))
+        assert len(packed.trie(7)) == 0 and packed.trie(7).node_count == 1
+
+    @pytest.mark.parametrize(
+        "make_store, indexes",
+        [
+            (make_edge_store, [0, 2, 5, 8]),
+            (make_edge_store, [1, 3, 4, 9]),
+            (make_churn_store, list(range(0, 60, 7))),
+        ],
+    )
+    def test_subset_equals_full_history_at_those_versions(self, make_store, indexes):
+        store = make_store()
+        full = PackedHistory.from_buffer(pack_history(store))
+        subset = PackedHistory.from_buffer(pack_history(store, indexes=indexes))
+        assert_matches_oracle(store, subset, indexes)
+        for position, index in enumerate(indexes):
+            assert packed_shape(subset.trie(position)) == packed_shape(full.trie(index))
+            assert subset.fingerprint(position) == full.fingerprint(index)
+
+    def test_pack_rules_equals_dict_trie(self):
+        rules = make_edge_store().rules_at(5)
+        packed = PackedHistory.from_buffer(pack_rules(rules)).trie(0)
+        assert packed_shape(packed) == dict_shape(SuffixTrie(rules))
+
+
+class TestIndexValidation:
+    def test_out_of_range_indexes_raise(self):
+        store = make_churn_store(versions=5)
+        for bad in ([5], [0, 5], [-6], [99]):
+            with pytest.raises(IndexError, match="out of range"):
+                pack_history(store, indexes=bad)
+
+    def test_in_range_negative_and_duplicate_indexes(self):
+        store = make_churn_store(versions=5)
+        packed = PackedHistory.from_buffer(pack_history(store, indexes=[-1, 4, -5, 0]))
+        assert len(packed) == 2
+        assert packed.fingerprint(0) == PublicSuffixList(store.rules_at(0)).fingerprint
+        assert packed.fingerprint(1) == PublicSuffixList(store.rules_at(4)).fingerprint
+
+    def test_empty_store(self):
+        store = VersionStore()
+        with pytest.raises(IndexError):
+            pack_history(store, indexes=[0])
+        assert len(PackedHistory.from_buffer(pack_history(store))) == 0
+        assert len(PackedHistory.from_buffer(pack_history(store, indexes=[]))) == 0
+
+
+def make_wide_store(*, versions: int = 80, seed: int = 11) -> VersionStore:
+    """~1,800 rules over 300 TLDs with small deltas: the buffer dominates."""
+    rng = random.Random(seed)
+    store = VersionStore()
+    date = datetime.date(2020, 1, 1)
+    live: set[Rule] = set()
+    for tld in EDGE_TLDS:
+        live.update(
+            Rule.parse(text)
+            for text in (tld, f"a.{tld}", f"b.{tld}", f"*.c.{tld}", f"!d.c.{tld}")
+        )
+    store.commit_rules(date, added=live)
+    for index in range(1, versions):
+        tld = rng.choice(EDGE_TLDS)
+        fresh = Rule.parse(f"v{index}.{tld}")
+        victim = rng.choice(sorted(live, key=lambda rule: rule.text))
+        date += datetime.timedelta(days=1)
+        store.commit_rules(date, added=[fresh], removed=[victim])
+        live.add(fresh)
+        live.discard(victim)
+    return store
+
+
+def test_pack_history_peak_memory_is_bounded_by_the_buffer():
+    store = make_wide_store()
+    tracemalloc.start()
+    try:
+        blob = pack_history(store)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(blob), (peak, len(blob))
+
+
+# -- hypothesis: random delta sequences ----------------------------------------
+
+
+@st.composite
+def rule_histories(draw):
+    """A pool of rules and a sequence of distinct live subsets of it."""
+    pool = sorted({Rule.parse(text) for text in draw(
+        st.lists(rule_text(), min_size=1, max_size=20)
+    )}, key=lambda rule: rule.text)
+    subsets = draw(st.lists(
+        st.sets(st.sampled_from(pool)), min_size=1, max_size=8
+    ))
+    store = VersionStore()
+    live: frozenset[Rule] = frozenset()
+    date = datetime.date(2020, 1, 1)
+    for subset in subsets:
+        if subset == live:
+            continue
+        store.commit_rules(date, added=subset - live, removed=live - subset)
+        live = frozenset(subset)
+        date += datetime.timedelta(days=1)
+    indexes = draw(st.lists(st.integers(0, max(len(store) - 1, 0)), max_size=4))
+    return store, indexes if len(store) else []
+
+
+class TestReplayProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(rule_histories())
+    def test_every_version_and_every_subset_equal_the_dict_trie(self, history):
+        store, indexes = history
+        # Small pools hold few TLDs; one TLD per group exercises group reuse.
+        for group_size in (packed_module._MIN_GROUP_TLDS, 1):
+            with mock.patch.object(packed_module, "_MIN_GROUP_TLDS", group_size):
+                packed = PackedHistory.from_buffer(pack_history(store))
+                subset = PackedHistory.from_buffer(pack_history(store, indexes=indexes))
+            assert_matches_oracle(store, packed, range(len(store)))
+            assert_matches_oracle(store, subset, sorted(set(indexes)))
 
 
 # -- corruption safety --------------------------------------------------------
