@@ -28,7 +28,7 @@ bench-runtime:  ## the resilient-runtime overhead gate (<10% on fault-free sweep
 bench-pipeline:  ## the artifact-pipeline gates (warm >= 5x cold, cold overhead < 10%)
 	$(PYTHON) -m pytest benchmarks/test_bench_perf_pipeline.py -m bench -q -s
 
-bench-serve:  ## the serving-layer gates (cached >= 50x rebuild, batch >= 5x singles, fleet scaling/p99/memory)
+bench-serve:  ## the serving-layer gates (engine lookup >= 50x rebuild, batch >= 5x singles, fleet scaling/p99/memory)
 	$(PYTHON) -m pytest benchmarks/test_bench_perf_serve.py -m bench -q -s
 
 bench-serve-smoke:  ## the same serving gates under a seconds-long load (functional contracts only)
@@ -50,7 +50,7 @@ serve-smoke:  ## start psl-serve on an ephemeral port, hit every endpoint, asser
 	$(PYTHON) -m repro.serve.cli --smoke
 
 serve-smoke-fleet:  ## the same smoke against a 4-worker pre-fork fleet (epoch agreement included)
-	$(PYTHON) -m repro.serve.cli --smoke --workers 4 --packed
+	$(PYTHON) -m repro.serve.cli --smoke --workers 4
 
 update-faults:  ## the full fault-plan soak: every upstream failure mode under live client load
 	$(PYTHON) -m repro.update.cli --soak

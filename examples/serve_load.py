@@ -68,7 +68,7 @@ def main() -> None:
     )
 
     # -- single-process baseline ---------------------------------------------
-    registry = SnapshotRegistry(store, packed=PackedHistory.from_buffer(blob))
+    registry = SnapshotRegistry(store, packed=packed)
     engine = QueryEngine(registry)
     single = PslServer(("127.0.0.1", 0), registry, engine=engine, max_inflight=64)
     accept = threading.Thread(target=single.serve_forever, daemon=True)

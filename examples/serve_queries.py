@@ -31,7 +31,7 @@ def get_json(url: str, *, data: dict | None = None) -> dict:
 
 
 def main() -> None:
-    print("synthesizing a small history and starting the server…")
+    print("synthesizing the history, packing it and starting the server…")
     store = synthesize_history(SynthesisConfig(seed=20230701))
     registry = SnapshotRegistry(store, resident_capacity=4)
     engine = QueryEngine(registry)
@@ -88,7 +88,7 @@ def main() -> None:
             if line.startswith("#"):
                 continue
             if line.startswith(("psl_serve_requests_total",
-                                "psl_serve_cache_hit_ratio",
+                                "psl_serve_resident_packed_bytes",
                                 "psl_serve_snapshot_index",
                                 "psl_serve_snapshot_swaps_total")):
                 print("  " + line)

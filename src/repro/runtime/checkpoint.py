@@ -25,6 +25,7 @@ import json
 import os
 import pickle
 import re
+import secrets
 from typing import Any
 
 from repro.fingerprint import fingerprint as _fingerprint
@@ -43,12 +44,24 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
     The shared write discipline for every durable artifact (sweep
     checkpoints here, pipeline artifacts in
     :mod:`repro.pipeline.store`): a kill mid-write leaves a temp file,
-    never a half-written final path.
+    never a half-written final path.  Each call writes its own unique
+    temp file in the target directory, so concurrent writers of one
+    path never rename each other's temp file; the last replace wins.
     """
-    temp = f"{path}.tmp"
-    with open(temp, "wb") as handle:
-        handle.write(payload)
-    os.replace(temp, path)
+    # Exclusive create under a random name (not mkstemp, whose 0600 mode
+    # would ignore the umask the final file has always been created with).
+    temp = f"{path}.{secrets.token_hex(8)}.tmp"
+    handle = open(temp, "xb")
+    try:
+        with handle:
+            handle.write(payload)
+        os.replace(temp, path)
+    except BaseException:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
+        raise
 
 
 class CheckpointStore:
@@ -99,7 +112,8 @@ class CheckpointStore:
     def clear(self) -> None:
         """Drop every spilled result (the directory itself survives)."""
         for name in os.listdir(self._directory):
-            if name.endswith(".pkl") or name.endswith(".pkl.tmp"):
+            # Spills end in .pkl; their temp files in .pkl.<random>.tmp.
+            if name.endswith(".pkl") or (name.endswith(".tmp") and ".pkl." in name):
                 try:
                     os.unlink(os.path.join(self._directory, name))
                 except OSError:

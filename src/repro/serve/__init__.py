@@ -10,10 +10,10 @@ Prometheus metrics.
 
 Layering::
 
-    SnapshotRegistry  (snapshots.py)  versioned immutable snapshots,
-         |                            atomic copy-on-write hot-swap
-    QueryEngine       (engine.py)     thread-safe sharded LRU caching,
-         |                            single/batch/compare APIs
+    SnapshotRegistry  (snapshots.py)  versioned immutable snapshots over
+         |                            one packed trie buffer, atomic
+         |                            copy-on-write hot-swap
+    QueryEngine       (engine.py)     uncached single/batch/compare APIs
     RequestCore       (core.py)       transport-agnostic routing,
          |                            admission, error mapping, metrics
     PslServer         (http.py)       thin ThreadingHTTPServer adapter:
@@ -52,7 +52,6 @@ from repro.serve.engine import (
     BatchItemError,
     ClassifyAnswer,
     CompareAnswer,
-    EngineStats,
     QueryEngine,
     SiteAnswer,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "Counter",
     "DEFAULT_DRAIN_DEADLINE",
     "DEFAULT_REQUEST_TIMEOUT",
-    "EngineStats",
     "Gauge",
     "Histogram",
     "LocalEpochs",

@@ -12,7 +12,7 @@ Usage::
                                        # repro.update watcher catch up
                                        # live (staleness SLOs on
                                        # /healthz and /metrics)
-    psl-serve --workers 4 --packed     # pre-fork fleet: 4 worker
+    psl-serve --workers 4              # pre-fork fleet: 4 worker
                                        # processes sharing one port
                                        # (SO_REUSEPORT) and one packed
                                        # snapshot buffer; /swap bumps
@@ -23,10 +23,12 @@ Usage::
                                        # (add --workers N for the
                                        # fleet smoke)
 
-With ``--cache-dir`` the history comes out of the same
-content-addressed :class:`~repro.pipeline.ArtifactStore` that
-``psl-repro --cache-dir`` populates, so a box that has rendered any
-figure starts the server without re-synthesizing the world.
+Every version is served off one packed ``PSLPAK1`` trie buffer.  With
+``--cache-dir`` the history comes out of the same content-addressed
+:class:`~repro.pipeline.ArtifactStore` that ``psl-repro --cache-dir``
+populates and the buffer is ``mmap``-ed from it, so a box that has
+rendered any figure starts the server without re-synthesizing the
+world; without it the history is synthesized and packed in-process.
 
 Shutdown is graceful: SIGTERM/SIGINT flip ``/healthz`` to ``draining``
 (503), stop the watcher, stop accepting connections, and drain
@@ -41,7 +43,6 @@ import sys
 import threading
 import time
 import urllib.request
-from typing import Callable
 
 from repro.history.store import VersionStore
 from repro.history.synthesis import SynthesisConfig, synthesize_history
@@ -53,39 +54,23 @@ DEFAULT_PORT = 8053
 DEFAULT_SEED = 20230701
 
 
-def build_store(seed: int, cache_dir: str | None) -> VersionStore:
-    """The version history to serve, warmed from ``cache_dir`` if given.
+def build_world(seed: int, cache_dir: str | None):
+    """The history, plus its packed buffer when ``cache_dir`` is given.
 
-    The cached path reuses the paper pipeline's ``history`` stage
-    verbatim — same stage, same fingerprint — so the server and
-    ``psl-repro`` share one artifact rather than each keeping a private
-    copy of the world.
-    """
-    store, _ = build_world(seed, cache_dir, packed=False)
-    return store
-
-
-def build_world(seed: int, cache_dir: str | None, *, packed: bool):
-    """The history plus (optionally) its packed buffer.
-
-    With ``packed=True`` and a ``cache_dir``, the packed buffer comes
-    from the pipeline's ``packed`` stage as a **raw artifact** and is
-    ``mmap``-ed straight off the store's payload file — the
-    multi-process warm path: every server process mapping the same
-    artifact file shares one physical copy of the full history.
-    Without a cache directory the buffer is packed in-process (still
-    flat and immutable, just not OS-shared).
+    With a ``cache_dir`` the history is the paper pipeline's
+    ``history`` stage verbatim — same stage, same fingerprint — so the
+    server and ``psl-repro`` share one artifact, and the buffer is the
+    ``packed`` stage's **raw artifact**, ``mmap``-ed straight off the
+    store's payload file: every server process mapping it shares one
+    physical copy of the full history.  ``None`` in place of a buffer
+    leaves the packing to the registry (or fleet supervisor).
     """
     if cache_dir is None:
-        store = synthesize_history(SynthesisConfig(seed=seed))
-        if not packed:
-            return store, None
-        from repro.psl.packed import PackedHistory, pack_history
-
-        return store, PackedHistory.from_buffer(pack_history(store))
+        return synthesize_history(SynthesisConfig(seed=seed)), None
 
     from repro.analysis.context import SweepSettings, world_stages
     from repro.pipeline import ArtifactStore, Pipeline
+    from repro.psl.packed import PackedHistory
     from repro.webgraph.synthesis import SnapshotConfig
 
     artifacts = ArtifactStore(cache_dir)
@@ -94,16 +79,10 @@ def build_world(seed: int, cache_dir: str | None, *, packed: bool):
         store=artifacts,
     )
     store = pipeline.build("history")
-    if not packed:
-        return store, None
-    from repro.psl.packed import PackedHistory, pack_history
-
     pipeline.build("packed")  # ensure the raw artifact exists on disk
     path = artifacts.payload_path("packed", pipeline.fingerprint_of("packed"))
-    if path is not None:
-        return store, PackedHistory.load(path)  # mmap: OS-shared pages
-    # No verified payload file (e.g. a memory-only store): pack inline.
-    return store, PackedHistory.from_buffer(pack_history(store))
+    # No verified payload file (e.g. a memory-only store): the registry packs.
+    return store, PackedHistory.load(path) if path is not None else None
 
 
 def prefix_store(full: VersionStore, count: int) -> VersionStore:
@@ -121,48 +100,48 @@ def prefix_store(full: VersionStore, count: int) -> VersionStore:
     return store
 
 
+def build_serving_world(args: argparse.Namespace):
+    """``(store, packed, upstream)`` for the flags; ``upstream`` is set with ``--watch``.
+
+    With ``--watch`` the full history becomes the synthetic upstream's
+    truth and the served store starts ``--behind`` versions back.  The
+    full history's buffer covers versions that prefix must not expose,
+    so it is dropped and the prefix is packed where it is served.
+    """
+    store, packed = build_world(args.seed, args.cache_dir)
+    if not getattr(args, "watch", False):
+        return store, packed, None
+    from repro.update.upstream import SyntheticUpstream
+
+    behind = max(1, min(args.behind, len(store) - 1))
+    return prefix_store(store, len(store) - behind), None, SyntheticUpstream(store)
+
+
 def build_server(args: argparse.Namespace) -> PslServer:
     """Assemble store -> registry -> engine -> server from parsed flags.
 
-    With ``--watch`` the full history becomes the synthetic upstream's
-    truth, the registry starts ``--behind`` versions back, and a
-    :class:`repro.update.watcher.Watcher` (not yet started — the
-    caller owns the thread) is attached for SLO metrics and catch-up.
+    With ``--watch`` a :class:`repro.update.watcher.Watcher` (not yet
+    started — the caller owns the thread) is attached for SLO metrics
+    and catch-up.
     """
-    store, packed = build_world(args.seed, args.cache_dir, packed=args.packed)
-    watch = getattr(args, "watch", False)
-    if watch:
-        truth = store
-        behind = max(1, min(args.behind, len(truth) - 1))
-        store = prefix_store(truth, len(truth) - behind)
-        if packed is not None:
-            # The mmap/full-history buffer covers versions the prefix
-            # registry must not expose; repack the prefix in-process.
-            from repro.psl.packed import PackedHistory, pack_history
-
-            packed = PackedHistory.from_buffer(pack_history(store))
+    store, packed, upstream = build_serving_world(args)
     registry = SnapshotRegistry(
         store,
         active=args.version,
         resident_capacity=args.resident,
         packed=packed,
     )
-    engine = QueryEngine(
-        registry, cache_capacity=args.cache_capacity, shards=args.shards
-    )
     server = PslServer(
         (args.host, args.port),
         registry,
-        engine=engine,
+        engine=QueryEngine(registry),
         max_inflight=args.max_inflight,
         request_timeout=args.request_timeout,
         quiet=not args.verbose,
     )
-    if watch:
-        from repro.update.upstream import SyntheticUpstream
+    if upstream is not None:
         from repro.update.watcher import Watcher, WatcherConfig
 
-        upstream = SyntheticUpstream(truth)
         watcher = Watcher(
             registry,
             upstream,
@@ -175,28 +154,18 @@ def build_server(args: argparse.Namespace) -> PslServer:
 def build_fleet(args: argparse.Namespace):
     """Assemble a :class:`~repro.serve.fleet.FleetSupervisor` from flags.
 
-    The watch path mirrors :func:`build_server`, but the watcher runs
-    in the *supervisor only*: its validated ingests are published on
-    the fleet's epoch bus and every worker replays them, so the whole
+    The watch path is :func:`build_server`'s, but the watcher runs in
+    the *supervisor only*: its validated ingests are published on the
+    fleet's epoch bus and every worker replays them, so the whole
     fleet tracks upstream in lockstep.
     """
     from repro.serve.fleet import FleetConfig, FleetSupervisor
 
-    store, packed = build_world(args.seed, args.cache_dir, packed=args.packed)
-    upstream = None
+    store, packed, upstream = build_serving_world(args)
     watcher_config = None
-    if getattr(args, "watch", False):
-        truth = store
-        behind = max(1, min(args.behind, len(truth) - 1))
-        store = prefix_store(truth, len(truth) - behind)
-        if packed is not None:
-            from repro.psl.packed import PackedHistory, pack_history
-
-            packed = PackedHistory.from_buffer(pack_history(store))
-        from repro.update.upstream import SyntheticUpstream
+    if upstream is not None:
         from repro.update.watcher import WatcherConfig
 
-        upstream = SyntheticUpstream(truth)
         watcher_config = WatcherConfig(poll_interval=args.poll_interval)
     config = FleetConfig(
         workers=args.workers,
@@ -204,8 +173,6 @@ def build_fleet(args: argparse.Namespace):
         port=args.port,
         version=args.version,
         resident_capacity=args.resident,
-        cache_capacity=args.cache_capacity,
-        shards=args.shards,
         max_inflight=args.max_inflight,
         request_timeout=args.request_timeout,
         drain_deadline=args.drain_deadline,
@@ -326,7 +293,7 @@ def run_smoke(base: str) -> list[str]:
     for needle in (
         "psl_serve_requests_total",
         "psl_serve_request_seconds_bucket",
-        "psl_serve_cache_hit_ratio",
+        "psl_serve_resident_packed_bytes",
         "psl_serve_snapshot_age_days",
         "psl_serve_snapshot_swaps_total",
     ):
@@ -470,14 +437,6 @@ def main(argv: list[str] | None = None) -> int:
         help="how many extra versions stay materialized for /compare",
     )
     parser.add_argument(
-        "--cache-capacity", type=int, default=65536,
-        help="total suffix-match cache entries across shards",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=8,
-        help="cache shard count (lock granularity)",
-    )
-    parser.add_argument(
         "--max-inflight", type=int, default=DEFAULT_MAX_INFLIGHT,
         help="concurrent requests admitted before shedding 503s",
     )
@@ -504,10 +463,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--poll-interval", type=float, default=5.0,
         help="with --watch: seconds between upstream polls",
-    )
-    parser.add_argument(
-        "--packed", action="store_true",
-        help="serve off the packed zero-copy trie (mmap-shared with --cache-dir)",
     )
     parser.add_argument(
         "--workers", type=int, default=1,
@@ -561,9 +516,7 @@ def main(argv: list[str] | None = None) -> int:
     server = build_server(args)
     active = server.registry.active
     packed_history = server.registry.packed_history
-    if packed_history is None:
-        mode = "dict tries"
-    elif packed_history.mmap_shared:
+    if packed_history.mmap_shared:
         mode = f"packed mmap, {packed_history.nbytes / 1e6:.1f} MB shared"
     else:
         mode = f"packed in-heap, {packed_history.nbytes / 1e6:.1f} MB"

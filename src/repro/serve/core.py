@@ -34,9 +34,9 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import SplitResult, parse_qs, urlsplit
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (update -> serve)
     from repro.update.watcher import Watcher
@@ -91,13 +91,19 @@ class Request:
     target: str  # path plus query string, as the transport received it
     content_length: int = 0
     read: Callable[[int], bytes] = lambda n: b""
+    #: ``target`` split once, at construction; routing and every query
+    #: parameter read it.
+    _parts: SplitResult = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._parts = urlsplit(self.target)
 
     @property
     def endpoint(self) -> str:
-        return urlsplit(self.target).path.rstrip("/") or "/"
+        return self._parts.path.rstrip("/") or "/"
 
     def query(self) -> dict[str, str]:
-        raw = parse_qs(urlsplit(self.target).query)
+        raw = parse_qs(self._parts.query)
         return {key: values[-1] for key, values in raw.items()}
 
 
@@ -210,27 +216,7 @@ class RequestCore:
             "psl_serve_hostname_lookups_total",
             "Individual hostname lookups performed (batch items count each).",
         )
-        engine, registry = self.engine, self.registry
-        metrics.callback_gauge(
-            "psl_serve_cache_hits_total",
-            "Suffix-match cache hits across every shard.",
-            lambda: engine.stats().hits,
-        )
-        metrics.callback_gauge(
-            "psl_serve_cache_misses_total",
-            "Suffix-match cache misses across every shard.",
-            lambda: engine.stats().misses,
-        )
-        metrics.callback_gauge(
-            "psl_serve_cache_hit_ratio",
-            "Cache hits / (hits + misses) since start.",
-            lambda: engine.stats().hit_rate,
-        )
-        metrics.callback_gauge(
-            "psl_serve_cache_entries",
-            "Live suffix-match cache entries across every shard.",
-            lambda: engine.stats().entries,
-        )
+        registry = self.registry
         metrics.callback_gauge(
             "psl_serve_snapshot_index",
             "History index of the active snapshot.",
@@ -270,11 +256,6 @@ class RequestCore:
             "psl_serve_resident_packed_bytes",
             "Bytes of packed snapshot buffer resident (shared sections counted once).",
             lambda: registry.memory_accounting().packed_bytes,
-        )
-        metrics.callback_gauge(
-            "psl_serve_resident_dict_bytes",
-            "Measured heap bytes of resident dict-trie snapshots.",
-            lambda: registry.memory_accounting().dict_bytes,
         )
         metrics.callback_gauge(
             "psl_serve_resident_dict_bytes_estimate",

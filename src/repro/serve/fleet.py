@@ -53,9 +53,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from repro.history.store import VersionStore
 from repro.psl.diff import RuleDelta
-from repro.psl.packed import PackedHistory
+from repro.psl.packed import PackedHistory, pack_history
 from repro.serve.core import DEFAULT_MAX_INFLIGHT, Reject, RequestCore
-from repro.serve.engine import DEFAULT_CACHE_CAPACITY, DEFAULT_SHARDS, QueryEngine
+from repro.serve.engine import QueryEngine
 from repro.serve.http import PslServer, serve_forever
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.snapshots import PslSnapshot, SnapshotRegistry
@@ -470,8 +470,6 @@ class FleetConfig:
     port: int = 0
     version: object = "latest"
     resident_capacity: int = 4
-    cache_capacity: int = DEFAULT_CACHE_CAPACITY
-    shards: int = DEFAULT_SHARDS
     max_inflight: int = DEFAULT_MAX_INFLIGHT
     request_timeout: float | None = 30.0
     drain_deadline: float = 10.0
@@ -599,7 +597,7 @@ def install_fleet_metrics(
 def _worker_body(
     worker_id: int,
     store: VersionStore,
-    packed: PackedHistory | None,
+    packed: PackedHistory,
     bus: EpochBus,
     config: FleetConfig,
     port: int,
@@ -625,9 +623,7 @@ def _worker_body(
         resident_capacity=config.resident_capacity,
         packed=packed,
     )
-    engine = QueryEngine(
-        registry, cache_capacity=config.cache_capacity, shards=config.shards
-    )
+    engine = QueryEngine(registry)
     epochs = BusEpochs(registry, bus)
     stale_after = max(2.0, config.heartbeat_interval * HEARTBEAT_STALE_FACTOR)
     core = RequestCore(
@@ -739,6 +735,10 @@ class FleetSupervisor:
     is given — the *only* update watcher in the fleet, whose validated
     ingests reach workers as epoch events via
     :class:`PublishingRegistry`.
+
+    ``packed`` is the store's ``PSLPAK1`` buffer (e.g. an mmap-ed
+    artifact); without it the supervisor packs the store once, before
+    any fork, and every worker and the watcher serve off that copy.
     """
 
     def __init__(
@@ -755,7 +755,9 @@ class FleetSupervisor:
             raise OSError("the pre-fork fleet requires os.fork (POSIX)")
         self.config = config if config is not None else FleetConfig()
         self._store = store
-        self._packed = packed
+        self._packed = (
+            packed if packed is not None else PackedHistory.from_buffer(pack_history(store))
+        )
         self._upstream = upstream
         self._watcher_config = watcher_config
         self._quiet = quiet
@@ -874,7 +876,9 @@ class FleetSupervisor:
         clone = VersionStore()
         for version in self._store.versions:
             clone.commit(version.date, version.delta, message=version.message)
-        registry = PublishingRegistry(clone, self.bus, resident_capacity=2)
+        registry = PublishingRegistry(
+            clone, self.bus, resident_capacity=2, packed=self._packed
+        )
         self.watcher = Watcher(
             registry,
             self._upstream,

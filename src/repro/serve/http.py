@@ -115,8 +115,13 @@ class PslServer(ThreadingHTTPServer):
         if listen_socket is not None:
             # Pre-fork parent-fd mode: adopt the already-listening
             # socket the supervisor bound before forking; every worker
-            # accepts on the same fd and the kernel distributes.
+            # accepts on the same fd and the kernel distributes.  Every
+            # worker's selector wakes for each connection but only one
+            # accept wins; non-blocking, the losers' accepts fail and they
+            # return to the selector instead of parking in accept(), where
+            # shutdown() (and so drain) would wait for the next client.
             self.socket.close()
+            listen_socket.setblocking(False)
             self.socket = listen_socket
             self.server_address = listen_socket.getsockname()
         self.registry = core.registry

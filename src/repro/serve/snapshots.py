@@ -1,7 +1,7 @@
 """Immutable PSL snapshots and the hot-swap registry.
 
 The serving layer's core object is the :class:`PslSnapshot`: one
-materialized list version — compiled suffix trie plus the
+materialized list version — a packed suffix-trie view plus the
 :class:`~repro.history.version.PslVersion` metadata that dates it.
 Snapshots are frozen; nothing about one ever changes after
 construction, which is what makes the concurrency story trivial for
@@ -42,32 +42,34 @@ from repro.psl.list import PublicSuffixList, SuffixMatch
 from repro.psl.packed import (
     PackedFormatError,
     PackedHistory,
-    dict_trie_bytes,
     estimated_dict_trie_bytes,
+    pack_history,
+    pack_rules,
 )
 
 
 @dataclass(frozen=True, slots=True)
 class PslSnapshot:
-    """One materialized, immutable PSL version ready to answer queries."""
+    """One materialized, immutable PSL version ready to answer queries.
+
+    The trie is always a :class:`~repro.psl.packed.PackedTrie` view
+    into a ``PSLPAK1`` buffer.
+    """
 
     version: PslVersion = field(repr=False)
     psl: PublicSuffixList = field(repr=False)
     #: Wall-clock time the snapshot was materialized (for uptime-style
     #: introspection; *staleness* is measured from the version date).
     built_at: float
-    #: Whether this snapshot answers off a packed (flat, immutable)
-    #: trie rather than the dict trie.
-    packed: bool = False
     #: Whether the packed buffer is an OS-shared memory map (pages
     #: shared with every other process mapping the same artifact).
     mmap_shared: bool = False
-    #: Heap/buffer bytes this snapshot keeps resident.  For packed
-    #: snapshots this is the version's slice of the shared buffer; for
-    #: dict snapshots it is the measured deep size of the trie.
+    #: Buffer bytes this snapshot keeps resident: the version's slice
+    #: of the registry's shared buffer, or the whole single-version
+    #: buffer of a version packed on its own.
     resident_bytes: int = 0
-    #: What a dict trie of this version costs (measured when one
-    #: exists, estimated from node/rule counts when packed).
+    #: What a dict trie of this version would cost, estimated from its
+    #: node and rule counts.
     dict_bytes_estimate: int = 0
 
     @property
@@ -107,7 +109,7 @@ class PslSnapshot:
             "commit": self.version.commit[:12],
             "rule_count": self.rule_count,
             "fingerprint": self.fingerprint[:12],
-            "packed": self.packed,
+            "mmap_shared": self.mmap_shared,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -118,16 +120,14 @@ class PslSnapshot:
 class MemoryAccounting:
     """Resident-memory breakdown across one registry's snapshots.
 
-    ``packed_bytes`` counts the per-version slices of resident packed
-    snapshots plus (once) the packed buffer's shared sections;
-    ``dict_bytes`` counts measured dict-trie bytes of resident dict
-    snapshots; ``dict_bytes_estimate`` is what *all* resident versions
-    would cost as dict tries — the observable form of the bench's
+    ``packed_bytes`` counts the per-version bytes of resident snapshots
+    plus (once) the registry buffer's shared sections;
+    ``dict_bytes_estimate`` is what the same resident versions would
+    cost as dict tries — the observable form of the bench's
     resident-set-reduction claim.
     """
 
     packed_bytes: int
-    dict_bytes: int
     dict_bytes_estimate: int
     shared_bytes: int
     versions: tuple[dict, ...]
@@ -154,13 +154,21 @@ class SnapshotRegistry:
       intermediate state.
     * All mutation (``activate``, ``resident`` cache fills) serializes
       on one internal lock, which also guards the underlying
-      :class:`VersionStore` — its checkout cache is not thread-safe.
+      :class:`VersionStore` — an ingest's ``commit`` must not race a
+      ``rules_at`` replay.
 
     ``resident_capacity`` bounds how many *additional* versions stay
     materialized for compare probes; the active snapshot is never
     evicted.  Old active snapshots stay valid for in-flight requests
     that already hold a reference and are reclaimed by the garbage
     collector once the last request finishes.
+
+    Every snapshot is a view into a packed ``PSLPAK1`` buffer.
+    ``packed`` is the buffer of the store's versions (an mmap-ed
+    artifact, or one shared with a fleet); without it the registry
+    packs the store itself with :func:`~repro.psl.packed.pack_history`.
+    Versions ingested later, past that immutable buffer, are packed one
+    at a time (see :meth:`ingest`).
     """
 
     def __init__(
@@ -176,7 +184,9 @@ class SnapshotRegistry:
             raise ValueError("resident_capacity must be positive")
         if len(store) == 0:
             raise ValueError("cannot serve an empty version store")
-        if packed is not None and len(packed) != len(store):
+        if packed is None:
+            packed = PackedHistory.from_buffer(pack_history(store))
+        elif len(packed) != len(store):
             raise ValueError(
                 f"packed history has {len(packed)} versions, store has {len(store)}"
             )
@@ -208,8 +218,8 @@ class SnapshotRegistry:
         return self._store
 
     @property
-    def packed_history(self) -> PackedHistory | None:
-        """The shared packed buffer, when serving off the packed path."""
+    def packed_history(self) -> PackedHistory:
+        """The packed buffer of the versions the registry started with."""
         return self._packed
 
     def __len__(self) -> int:
@@ -259,39 +269,41 @@ class SnapshotRegistry:
 
     # -- materialization -----------------------------------------------------
 
+    def _snapshot(self, version: PslVersion, history: PackedHistory) -> PslSnapshot:
+        """The one way a snapshot is built: a trie view into ``history``.
+
+        ``history`` is either the registry buffer (``version.index`` is
+        a position in it) or a single-version buffer of a version packed
+        on its own, which the snapshot then keeps resident whole.
+        """
+        if history is self._packed:
+            position, resident = version.index, history.version_bytes(version.index)
+        else:
+            position, resident = 0, history.nbytes
+        trie = history.trie(position)
+        return PslSnapshot(
+            version=version,
+            psl=PublicSuffixList.from_packed(trie),
+            built_at=self._clock(),
+            mmap_shared=history.mmap_shared,
+            resident_bytes=resident,
+            dict_bytes_estimate=estimated_dict_trie_bytes(trie.node_count, len(trie)),
+        )
+
+    def _pack_locked(self, index: int) -> PackedHistory:
+        """A single-version buffer of a version past the registry buffer."""
+        return PackedHistory.from_buffer(pack_rules(self._store.rules_at(index)))
+
     def _materialize_locked(self, index: int) -> PslSnapshot:
         """Build (or fetch resident) snapshot; caller holds the lock."""
         cached = self._resident.get(index)
         if cached is not None:
             self._resident.move_to_end(index)
             return cached
-        if self._packed is not None and index < len(self._packed):
-            # The packed path: a trie *view* into the shared buffer —
-            # no trie build, no rule materialization, near-zero-copy.
-            # Versions ingested live (beyond the packed buffer, which
-            # is immutable) fall through to the dict path below.
-            trie = self._packed.trie(index)
-            snapshot = PslSnapshot(
-                version=self._store.version(index),
-                psl=PublicSuffixList.from_packed(trie),
-                built_at=self._clock(),
-                packed=True,
-                mmap_shared=self._packed.mmap_shared,
-                resident_bytes=self._packed.version_bytes(index),
-                dict_bytes_estimate=estimated_dict_trie_bytes(
-                    trie.node_count, len(trie)
-                ),
-            )
-        else:
-            psl = self._store.checkout(index)
-            measured = dict_trie_bytes(psl._trie)
-            snapshot = PslSnapshot(
-                version=self._store.version(index),
-                psl=psl,
-                built_at=self._clock(),
-                resident_bytes=measured,
-                dict_bytes_estimate=measured,
-            )
+        # A view into the shared buffer costs no trie build; a version
+        # ingested live (and since evicted) is packed again on its own.
+        history = self._packed if index < len(self._packed) else self._pack_locked(index)
+        snapshot = self._snapshot(self._store.version(index), history)
         self._resident[index] = snapshot
         self._evict_locked()
         return snapshot
@@ -365,16 +377,14 @@ class SnapshotRegistry:
         serves straight off it.  ``expected_fingerprint`` additionally
         pins the blob to the rule set the caller validated (a blob for
         the wrong version is rejected even when internally intact).
-        Without a blob the snapshot materializes through the dict-trie
-        checkout path.
+        Without a blob the registry packs the new rule set itself.
 
         ``activate=False`` appends and materializes the version as a
         resident without publishing it — the registry's active
         snapshot (e.g. an operator-pinned version) keeps serving.
         """
         with self._lock:
-            psl: PublicSuffixList | None = None
-            blob_trie = None
+            history = None
             if packed_blob is not None:
                 # CRC / magic / truncation checks happen here, before
                 # the store is touched: a corrupt blob cannot dethrone
@@ -384,43 +394,20 @@ class SnapshotRegistry:
                     raise PackedFormatError(
                         f"ingest blob must hold exactly one version, got {len(history)}"
                     )
-                blob_trie = history.trie(0)
-                if (
-                    expected_fingerprint is not None
-                    and blob_trie.fingerprint != expected_fingerprint
-                ):
+                # Building a view also checks the version record's bounds.
+                carried = history.trie(0).fingerprint
+                if expected_fingerprint is not None and carried != expected_fingerprint:
                     raise PackedFormatError(
                         "ingest blob fingerprint mismatch: expected "
-                        f"{expected_fingerprint[:12]}, blob carries "
-                        f"{blob_trie.fingerprint[:12]}"
+                        f"{expected_fingerprint[:12]}, blob carries {carried[:12]}"
                     )
-                psl = PublicSuffixList.from_packed(blob_trie)
             # ``commit`` validates monotone dates and clean application
             # before mutating anything, so a bad delta raises with the
             # store untouched.
             version = self._store.commit(date, delta, message=message)
-            if psl is not None:
-                snapshot = PslSnapshot(
-                    version=version,
-                    psl=psl,
-                    built_at=self._clock(),
-                    packed=True,
-                    mmap_shared=False,
-                    resident_bytes=len(packed_blob),
-                    dict_bytes_estimate=estimated_dict_trie_bytes(
-                        blob_trie.node_count, len(blob_trie)
-                    ),
-                )
-            else:
-                psl = self._store.checkout(version.index)
-                measured = dict_trie_bytes(psl._trie)
-                snapshot = PslSnapshot(
-                    version=version,
-                    psl=psl,
-                    built_at=self._clock(),
-                    resident_bytes=measured,
-                    dict_bytes_estimate=measured,
-                )
+            if history is None:
+                history = self._pack_locked(version.index)
+            snapshot = self._snapshot(version, history)
             self._resident[version.index] = snapshot
             if activate:
                 previous = self._active
@@ -434,37 +421,25 @@ class SnapshotRegistry:
         """The resident-memory breakdown (the ``/metrics`` source).
 
         Per-version rows cover every resident snapshot; the totals are
-        what the memory gauges export — resident packed bytes (shared
-        sections counted once) against the dict-trie bytes the same
-        residency would cost.
+        what the memory gauges export — resident packed bytes (the
+        registry buffer's shared sections counted once) against the
+        dict-trie bytes the same residency would cost.
         """
         with self._lock:
             snapshots = list(self._resident.values())
-        packed_bytes = dict_bytes = estimate = 0
-        rows = []
-        for snapshot in snapshots:
-            if snapshot.packed:
-                packed_bytes += snapshot.resident_bytes
-            else:
-                dict_bytes += snapshot.resident_bytes
-            estimate += snapshot.dict_bytes_estimate
-            rows.append(
-                {
-                    "index": snapshot.index,
-                    "packed": snapshot.packed,
-                    "packed_mmap_shared": snapshot.mmap_shared,
-                    "resident_bytes": snapshot.resident_bytes,
-                    "dict_bytes_estimate": snapshot.dict_bytes_estimate,
-                }
-            )
-        shared = 0
-        if self._packed is not None and packed_bytes:
-            shared = self._packed.shared_bytes
-            packed_bytes += shared
+        rows = [
+            {
+                "index": snapshot.index,
+                "packed_mmap_shared": snapshot.mmap_shared,
+                "resident_bytes": snapshot.resident_bytes,
+                "dict_bytes_estimate": snapshot.dict_bytes_estimate,
+            }
+            for snapshot in snapshots
+        ]
+        shared = self._packed.shared_bytes
         return MemoryAccounting(
-            packed_bytes=packed_bytes,
-            dict_bytes=dict_bytes,
-            dict_bytes_estimate=estimate,
+            packed_bytes=shared + sum(row["resident_bytes"] for row in rows),
+            dict_bytes_estimate=sum(row["dict_bytes_estimate"] for row in rows),
             shared_bytes=shared,
             versions=tuple(rows),
         )

@@ -41,6 +41,7 @@ import urllib.request
 from repro.history.store import VersionStore
 from repro.history.synthesis import SynthesisConfig, synthesize_history
 from repro.runtime.executor import RetryPolicy
+from repro.serve.cli import prefix_store
 from repro.serve.engine import QueryEngine
 from repro.serve.http import PslServer
 from repro.serve.snapshots import SnapshotRegistry
@@ -94,14 +95,6 @@ def build_fault_plan(pending: list[int], *, retry_attempts: int) -> UpstreamFaul
         faults[patch_key(p[6])] = UpstreamFault(UpstreamFaultKind.BAD_CHECKSUM, attempts=ALWAYS)
         faults[patch_key(p[0])] = UpstreamFault(UpstreamFaultKind.BAD_CHECKSUM, attempts=1)
     return UpstreamFaultPlan(faults=faults)
-
-
-def prefix_store(full: VersionStore, count: int) -> VersionStore:
-    """First ``count`` versions as their own store (vendored-at state)."""
-    store = VersionStore()
-    for version in full.versions[:count]:
-        store.commit(version.date, version.delta, message=version.message)
-    return store
 
 
 def run_watcher(
@@ -168,7 +161,7 @@ def soak(args: argparse.Namespace) -> int:
         f"({behind} behind); fault plan: {len(plan.faults)} injected faults"
     )
     registry = SnapshotRegistry(prefix_store(truth, local_count))
-    engine = QueryEngine(registry, cache_capacity=16384, shards=4)
+    engine = QueryEngine(registry)
     server = PslServer(
         ("127.0.0.1", 0), registry, engine=engine, max_inflight=64, request_timeout=5.0
     )

@@ -13,14 +13,56 @@ shared inputs, so the two paths are interchangeable where both apply.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Generic, Hashable, Iterable, Iterator, TypeVar
 
 from repro.net.hostname import normalize_or_none
-from repro.psl.caching import LruDict
 from repro.psl.list import PublicSuffixList
 from repro.psl.trie import SuffixTrie
 from repro.webgraph.sites import site_for_reversed
+
+K = TypeVar("K", bound=Hashable)
+V = TypeVar("V")
+
+
+class LruDict(Generic[K, V]):
+    """A minimal bounded mapping with least-recently-used eviction.
+
+    Not thread-safe: every ``get`` hit refreshes recency.  ``None`` is
+    not a valid stored value — ``get`` uses it as the miss sentinel,
+    which keeps the hot path to a single dictionary probe.
+    """
+
+    __slots__ = ("_data", "capacity")
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be positive")
+        self.capacity = capacity
+        self._data: OrderedDict[K, V] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __contains__(self, key: K) -> bool:
+        return key in self._data
+
+    def get(self, key: K) -> V | None:
+        """The stored value, refreshed as most recent; None on a miss."""
+        value = self._data.get(key)
+        if value is not None:
+            self._data.move_to_end(key)
+        return value
+
+    def put(self, key: K, value: V) -> None:
+        """Store a value, evicting the least recently used past capacity."""
+        if value is None:
+            raise ValueError("LruDict cannot store None (it is the miss sentinel)")
+        self._data[key] = value
+        self._data.move_to_end(key)
+        if len(self._data) > self.capacity:
+            self._data.popitem(last=False)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,4 +1,4 @@
-"""Tests for Figure 1, the caching matcher, the builder, and validation."""
+"""Tests for Figure 1, the builder, and validation."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.analysis.figure1 import (
     render_figure1,
 )
 from repro.psl.builder import PslBuilder
-from repro.psl.caching import CachingMatcher
 from repro.psl.errors import PslParseError
 from repro.psl.parser import parse_psl
 from repro.webgraph.archive import Snapshot
@@ -58,54 +57,6 @@ class TestFigure1:
 
     def test_hostname_count_preserved(self, panels):
         assert panels[0].domain_count == len(PAPER_HOSTNAMES)
-
-
-class TestCachingMatcher:
-    def test_results_match_uncached(self, small_psl):
-        matcher = CachingMatcher(small_psl)
-        for host in ("a.com", "b.co.uk", "x.github.io", "a.com"):
-            assert matcher.match(host) == small_psl.match(host)
-
-    def test_hit_accounting(self, small_psl):
-        matcher = CachingMatcher(small_psl)
-        matcher.match("a.com")
-        matcher.match("a.com")
-        matcher.match("b.com")
-        assert matcher.hits == 1 and matcher.misses == 2
-        assert matcher.hit_rate == pytest.approx(1 / 3)
-
-    def test_lru_eviction(self, small_psl):
-        matcher = CachingMatcher(small_psl, capacity=2)
-        matcher.match("a.com")
-        matcher.match("b.com")
-        matcher.match("c.com")  # evicts a.com
-        matcher.match("a.com")
-        assert matcher.misses == 4
-
-    def test_move_to_end_on_hit(self, small_psl):
-        matcher = CachingMatcher(small_psl, capacity=2)
-        matcher.match("a.com")
-        matcher.match("b.com")
-        matcher.match("a.com")  # refresh a.com
-        matcher.match("c.com")  # should evict b.com, not a.com
-        matcher.match("a.com")
-        assert matcher.hits == 2
-
-    def test_convenience_methods(self, small_psl):
-        matcher = CachingMatcher(small_psl)
-        assert matcher.registrable_domain("x.a.com") == "a.com"
-        assert matcher.public_suffix("x.a.com") == "com"
-        assert not matcher.same_site("a.github.io", "b.github.io")
-
-    def test_clear(self, small_psl):
-        matcher = CachingMatcher(small_psl)
-        matcher.match("a.com")
-        matcher.clear()
-        assert matcher.hits == matcher.misses == 0
-
-    def test_capacity_validated(self, small_psl):
-        with pytest.raises(ValueError):
-            CachingMatcher(small_psl, capacity=0)
 
 
 class TestPslBuilder:

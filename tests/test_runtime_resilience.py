@@ -251,6 +251,68 @@ class TestCheckpointStore:
         assert report_again.resumed == 2 and report_again.executed == 0
 
 
+class TestAtomicWrite:
+    WRITER = (
+        "import os, sys, time\n"
+        "from repro.runtime import atomic_write_bytes\n"
+        "path, fill, go = sys.argv[1], int(sys.argv[2]), sys.argv[3]\n"
+        "payload = bytes([fill]) * (1 << 20)\n"
+        "while not os.path.exists(go):\n"
+        "    time.sleep(0.001)\n"
+        "for _ in range(100):\n"
+        "    atomic_write_bytes(path, payload)\n"
+    )
+
+    def test_two_processes_writing_one_path_never_crash(self, tmp_path):
+        """Two CLIs sharing a cache dir write the same artifact at once.
+
+        With one fixed temp name per path, one writer's ``os.replace``
+        found its temp file already renamed by the other and raised
+        ``FileNotFoundError``.
+        """
+        path, go = tmp_path / "artifact.bin", tmp_path / "go"
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", self.WRITER, str(path), str(fill), str(go)],
+                env=env,
+                stderr=subprocess.PIPE,
+            )
+            for fill in (1, 2)
+        ]
+        time.sleep(0.2)  # both interpreters up before the race starts
+        go.touch()
+        failures = [w.stderr.read().decode()[-300:] for w in writers if w.wait(timeout=120)]
+        assert failures == []
+        assert path.read_bytes() in (b"\x01" * (1 << 20), b"\x02" * (1 << 20))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.bin", "go"]
+
+    def test_failed_replace_removes_its_temp_file(self, tmp_path, monkeypatch):
+        from repro.runtime import atomic_write_bytes
+
+        path = tmp_path / "artifact.bin"
+        path.write_bytes(b"last good")
+
+        def refuse(source, target):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk went away"):
+            atomic_write_bytes(str(path), b"new")
+        assert path.read_bytes() == b"last good"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.bin"]
+
+    def test_clear_removes_spill_temp_files(self, tmp_path):
+        store = CheckpointStore(str(tmp_path))
+        store.save("t", 1)
+        spill = store._task_path("t")
+        for leftover in (spill + ".0123456789abcdef.tmp", spill + ".tmp"):
+            open(leftover, "wb").close()
+        store.clear()
+        assert sorted(os.listdir(tmp_path)) == []
+
+
 # -- engine-level resilience --------------------------------------------------
 
 

@@ -28,7 +28,7 @@ from tests.test_serve_snapshots import make_store
 
 def make_core(**kwargs) -> RequestCore:
     registry = SnapshotRegistry(make_store())
-    engine = QueryEngine(registry, cache_capacity=1024, shards=2)
+    engine = QueryEngine(registry)
     return RequestCore(registry, engine=engine, **kwargs)
 
 

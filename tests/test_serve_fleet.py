@@ -14,6 +14,7 @@ import datetime
 import json
 import os
 import signal
+import socket
 import threading
 import time
 import urllib.error
@@ -399,6 +400,76 @@ class TestFleetSupervision:
         for pid in pids:
             with pytest.raises(OSError):
                 os.kill(pid, 0)  # every child is truly gone
+
+
+class TestParentFdAccept:
+    def test_a_worker_that_loses_the_accept_race_does_not_block(self, tmp_path):
+        """Shared-fd workers all wake per connection; the losers' accept
+        must return (not block), or drain waits for the next client."""
+        from repro.serve.http import PslServer
+
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(8)
+        server = PslServer(
+            ("127.0.0.1", 0), SnapshotRegistry(make_store()), listen_socket=listener
+        )
+        try:
+            # Nothing is pending: exactly the losing worker's position.
+            attempt = threading.Thread(target=server._handle_request_noblock, daemon=True)
+            attempt.start()
+            attempt.join(timeout=5)
+            assert not attempt.is_alive()
+        finally:
+            server.server_close()
+
+
+class TestFleetPacking:
+    def test_no_buffer_packs_exactly_once_in_the_parent(self, tmp_path, monkeypatch):
+        """Without a buffer the supervisor packs before forking; workers
+        and the watcher's registry all serve off that one copy."""
+        import repro.serve.fleet as fleet_module
+        import repro.serve.snapshots as snapshots_module
+        from repro.serve.cli import prefix_store
+        from repro.update.upstream import SyntheticUpstream
+        from repro.update.watcher import WatcherConfig
+
+        log = tmp_path / "packs.log"
+
+        def recording_pack(store, **kwargs):
+            with open(log, "a", encoding="ascii") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return pack_history(store, **kwargs)
+
+        # Forked workers inherit the patched names, so a pack there logs too.
+        monkeypatch.setattr(fleet_module, "pack_history", recording_pack)
+        monkeypatch.setattr(snapshots_module, "pack_history", recording_pack)
+        truth = make_store()
+        supervisor = FleetSupervisor(
+            prefix_store(truth, len(truth) - 1),
+            config=FleetConfig(
+                workers=2, port=0, run_dir=str(tmp_path / "run"), drain_deadline=5.0
+            ),
+            upstream=SyntheticUpstream(truth),
+            watcher_config=WatcherConfig(poll_interval=0.1),
+        )
+        supervisor.start()
+        try:
+            def converged() -> bool:
+                view = supervisor.view()
+                return (
+                    view["reporting"] >= 2
+                    and view["agreement"]
+                    and all(row["active_index"] == 2 for row in view["workers"])
+                )
+
+            assert wait_for(converged, timeout=30), supervisor.view()
+            status, body = fetch_json(supervisor.url + "/site?host=x.y.kawasaki.jp")
+            assert status == 200 and body["version"] == 2
+            assert body["site"] == "x.y.kawasaki.jp"  # the ingested wildcard rule
+        finally:
+            assert supervisor.drain()
+        assert log.read_text(encoding="ascii").split() == [str(os.getpid())]
 
 
 # ---------------------------------------------------------------------------

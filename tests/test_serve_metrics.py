@@ -92,7 +92,7 @@ class TestMetricsEndpointSafety:
 
     def _core(self) -> RequestCore:
         registry = SnapshotRegistry(make_store())
-        engine = QueryEngine(registry, cache_capacity=256, shards=2)
+        engine = QueryEngine(registry)
         return RequestCore(registry, engine=engine)
 
     def test_scrape_with_poisoned_gauge_is_200(self):

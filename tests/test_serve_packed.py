@@ -4,27 +4,31 @@
 bit-faithful; this file proves the *serving* integration is: a
 :class:`~repro.serve.snapshots.SnapshotRegistry` over a
 :class:`~repro.psl.packed.PackedHistory` must answer exactly like the
-dict-trie registry, account for its memory honestly, expose that
-accounting on ``/metrics``, and never let the shared buffer be torn
-down while snapshots still view it.
+dict-trie oracle ``VersionStore.checkout(v).match``, account for its
+memory honestly, expose that accounting on ``/metrics``, and never let
+the shared buffer be torn down while snapshots still view it.
 """
 
 from __future__ import annotations
 
+import datetime
 import gc
 import threading
 
 import pytest
 
+from repro.psl.diff import RuleDelta
 from repro.psl.packed import (
     PackedBufferInUseError,
     PackedFormatError,
     PackedHistory,
     pack_history,
+    pack_rules,
 )
+from repro.psl.rules import Rule
 from repro.serve.engine import QueryEngine
 from repro.serve.http import PslServer
-from repro.serve.snapshots import SnapshotRegistry
+from repro.serve.snapshots import PslSnapshot, SnapshotRegistry
 
 from tests.test_serve_snapshots import make_registry, make_store
 
@@ -49,58 +53,60 @@ def store():
 
 class TestPackedParity:
     def test_registry_answers_match_dict_registry(self, store):
-        dict_registry = make_registry(store, "dict")
-        packed_registry = make_registry(store, "packed")
-        for index in range(len(store)):
-            reference = dict_registry.resident(index)
-            candidate = packed_registry.resident(index)
-            assert candidate.packed is True
-            assert candidate.fingerprint == reference.fingerprint
-            for host in HOSTS:
-                assert candidate.match(host) == reference.match(host), (index, host)
+        """Every version answers like the dict trie ``checkout`` builds."""
+        for backend in ("self-packed", "packed"):
+            registry = make_registry(store, backend)
+            for index in range(len(store)):
+                reference = store.checkout(index)
+                candidate = registry.resident(index)
+                assert candidate.fingerprint == reference.fingerprint
+                for host in HOSTS:
+                    assert candidate.match(host) == reference.match(host), (backend, index, host)
 
-    def test_describe_marks_the_backend(self, store):
-        packed_registry = make_registry(store, "packed")
-        assert packed_registry.active.describe()["packed"] is True
-        dict_registry = make_registry(store, "dict")
-        assert dict_registry.active.describe()["packed"] is False
+    def test_describe_marks_the_backend(self, store, tmp_path):
+        in_heap = make_registry(store, "packed")
+        assert in_heap.active.describe()["mmap_shared"] is False
+        path = tmp_path / "history.pslpak"
+        path.write_bytes(pack_history(store))
+        mapped = SnapshotRegistry(store, packed=PackedHistory.load(path))
+        assert mapped.active.describe()["mmap_shared"] is True
 
     def test_engine_parity_without_cache(self, store):
-        """The packed serving mode: cache_capacity=0, every walk uncached."""
-        dict_engine = QueryEngine(make_registry(store, "dict"))
-        packed_engine = QueryEngine(make_registry(store, "packed"), cache_capacity=0)
+        """Every engine walk is uncached and answers like the dict oracle."""
+        engine = QueryEngine(make_registry(store, "packed"), cache_capacity=0)
+        latest = store.checkout(-1)
         for host in HOSTS:
-            expected = dict_engine.site(host)
-            got = packed_engine.site(host)
+            expected = latest.match(host)
+            got = engine.site(host)
             assert got.site == expected.site
             assert got.public_suffix == expected.public_suffix
             assert got.registrable_domain == expected.registrable_domain
-            assert got.cached is False
         for old in range(len(store)):
+            oracle = store.checkout(old)
             for host in HOSTS:
-                left = dict_engine.compare(host, old)
-                right = packed_engine.compare(host, old)
-                assert right.diverges == left.diverges, (old, host)
-                assert right.old.site == left.old.site
+                probe = engine.compare(host, old)
+                assert probe.old.site == oracle.match(host).site, (old, host)
+                assert probe.diverges == (oracle.match(host).site != latest.match(host).site)
 
 
 class TestNoCacheMode:
-    def test_stats_report_zero_shards(self, store):
-        engine = QueryEngine(make_registry(store, "packed"), cache_capacity=0)
-        for _ in range(3):
-            for host in HOSTS:
-                engine.site(host)
-        stats = engine.stats()
-        assert stats.shards == 0
-        assert stats.capacity == 0
-        assert stats.hits == 0 and stats.misses == 0
-        assert stats.hit_rate == 0.0
-        engine.clear_cache()  # must be a harmless no-op
+    def test_cache_capacity_accepts_only_zero(self, store):
+        registry = make_registry(store, "packed")
+        QueryEngine(registry, cache_capacity=0)
+        for capacity in (1, 65_536, -1):
+            with pytest.raises(ValueError, match="cache_capacity"):
+                QueryEngine(registry, cache_capacity=capacity)
 
-    def test_batch_answers_are_never_cached(self, store):
+    def test_batch_answers_are_never_cached(self, store, monkeypatch):
         engine = QueryEngine(make_registry(store, "packed"), cache_capacity=0)
+        walks = []
+        match = PslSnapshot.match
+        monkeypatch.setattr(
+            PslSnapshot, "match", lambda self, host: walks.append(host) or match(self, host)
+        )
         answer = engine.batch(HOSTS * 2)
-        assert all(item.cached is False for item in answer.answers)
+        assert len(walks) == 2 * len(HOSTS)  # a repeated host walks again
+        assert all("cached" not in item.to_json() for item in answer.answers)
 
 
 class TestMemoryAccounting:
@@ -113,25 +119,23 @@ class TestMemoryAccounting:
         slices = sum(packed.version_bytes(i) for i in range(len(store)))
         assert accounting.shared_bytes == packed.shared_bytes
         assert accounting.packed_bytes == slices + packed.shared_bytes
-        assert accounting.dict_bytes == 0
         assert accounting.dict_bytes_estimate > 0
         assert len(accounting.versions) == len(store)
         for row in accounting.versions:
-            assert row["packed"] is True
             assert row["packed_mmap_shared"] is False  # in-heap buffer
             assert row["resident_bytes"] == packed.version_bytes(row["index"])
             assert row["dict_bytes_estimate"] > row["resident_bytes"]
 
-    def test_dict_registry_accounts_measured_tries(self, store):
-        registry = make_registry(store, "dict", resident_capacity=len(store))
-        for index in range(len(store)):
-            registry.resident(index)
+    def test_ingested_version_accounts_its_whole_buffer(self, store):
+        registry = make_registry(store, "self-packed", resident_capacity=len(store) + 1)
+        added = frozenset({Rule.parse("dev")})
+        registry.ingest(datetime.date(2023, 1, 1), RuleDelta(added=added, removed=frozenset()))
         accounting = registry.memory_accounting()
-        assert accounting.packed_bytes == 0
-        assert accounting.shared_bytes == 0
-        assert accounting.dict_bytes > 0
-        assert accounting.dict_bytes == accounting.dict_bytes_estimate
-        assert all(row["packed"] is False for row in accounting.versions)
+        rows = {row["index"]: row for row in accounting.versions}
+        assert rows[3]["resident_bytes"] == len(pack_rules(store.rules_at(3)))
+        assert accounting.packed_bytes == accounting.shared_bytes + sum(
+            row["resident_bytes"] for row in accounting.versions
+        )
 
     def test_eviction_shrinks_the_packed_total(self, store):
         registry = make_registry(store, "packed", resident_capacity=1)
@@ -211,15 +215,11 @@ class TestMetricsExposure:
         text = self._scrape(registry)
         packed = registry.packed_history
         assert self._value(text, "psl_serve_resident_packed_bytes") >= packed.shared_bytes
-        assert self._value(text, "psl_serve_resident_dict_bytes") == 0
         assert self._value(text, "psl_serve_resident_dict_bytes_estimate") > 0
+        # The dict-trie and per-hostname cache gauges are gone with their backends.
+        assert "psl_serve_resident_dict_bytes " not in text
+        assert "psl_serve_cache_" not in text
         active = registry.active.index
         assert (
             f'psl_serve_snapshot_packed_mmap_shared{{version="{active}"}} 0' in text
         )
-
-    def test_dict_registry_exports_zero_packed_bytes(self, store):
-        registry = make_registry(store, "dict")
-        text = self._scrape(registry)
-        assert self._value(text, "psl_serve_resident_packed_bytes") == 0
-        assert self._value(text, "psl_serve_resident_dict_bytes") > 0

@@ -45,10 +45,11 @@ def make_store() -> VersionStore:
 
 
 def make_registry(store: VersionStore, backend: str, **kwargs) -> SnapshotRegistry:
-    """A registry over either snapshot backend (the packed parity axis)."""
+    """A registry over a buffer packed by the caller or by the registry itself."""
     if backend == "packed":
         packed = PackedHistory.from_buffer(pack_history(store))
         return SnapshotRegistry(store, packed=packed, **kwargs)
+    assert backend == "self-packed", backend
     return SnapshotRegistry(store, **kwargs)
 
 
@@ -64,7 +65,7 @@ def registry(store) -> SnapshotRegistry:
 
 @pytest.fixture()
 def engine(registry) -> QueryEngine:
-    return QueryEngine(registry, cache_capacity=1024, shards=4)
+    return QueryEngine(registry)
 
 
 class TestPslSnapshot:
@@ -82,10 +83,10 @@ class TestPslSnapshot:
     def test_describe_shape(self, registry):
         described = registry.active.describe()
         assert set(described) == {
-            "index", "date", "commit", "rule_count", "fingerprint", "packed",
+            "index", "date", "commit", "rule_count", "fingerprint", "mmap_shared",
         }
         assert described["date"] == V2_DATE.isoformat()
-        assert described["packed"] is False
+        assert described["mmap_shared"] is False
 
 
 class TestResolve:
@@ -156,8 +157,8 @@ class TestQueryEngine:
         assert answer.site == "example.co.uk"
         assert answer.public_suffix == "co.uk"
         assert answer.version_index == 2
-        assert answer.cached is False
-        assert engine.site("www.example.co.uk").cached is True
+        assert "cached" not in answer.to_json()
+        assert engine.site("www.example.co.uk") == answer
 
     def test_site_under_pinned_version(self, engine):
         answer = engine.site("www.example.co.uk", version=0)
@@ -209,7 +210,7 @@ class TestQueryEngine:
         probe = engine.compare("www.example.co.uk", 1, 2)
         assert probe.diverges is False
 
-    def test_cache_is_keyed_by_snapshot_not_poisoned_by_swap(self, engine):
+    def test_swap_never_serves_the_outgoing_versions_answers(self, engine):
         registry = engine.registry
         assert engine.site("www.example.co.uk").site == "example.co.uk"
         registry.activate(0)
@@ -217,26 +218,17 @@ class TestQueryEngine:
         registry.activate("latest")
         answer = engine.site("www.example.co.uk")
         assert answer.site == "example.co.uk"
-        assert answer.cached is True  # the old entries were still valid
-
-    def test_stats_aggregate(self, engine):
-        engine.site("a.example.com")
-        engine.site("a.example.com")
-        stats = engine.stats()
-        assert stats.hits == 1 and stats.misses == 1
-        assert 0 < stats.hit_rate < 1
-        assert stats.shards == 4
-        engine.clear_cache()
-        assert engine.stats().hits == 0
+        assert answer.version_index == 2
 
 
-@pytest.mark.parametrize("backend", ["dict", "packed"])
+@pytest.mark.parametrize("backend", ["self-packed", "packed"])
 class TestConcurrentHotSwap:
     """Readers under live swaps: never a half answer, never a drop.
 
-    Parametrized over both snapshot backends: the packed (flat,
-    mmap-able) path must be just as torn-answer-free as the dict path,
-    including under LRU eviction of resident packed snapshots.
+    Parametrized over who packed the registry's buffer (the registry
+    itself, or the caller), including under LRU eviction of resident
+    snapshots.  Every answer is checked against the dict-trie oracle,
+    ``VersionStore.checkout(v).match``.
     """
 
     READERS = 6
@@ -245,13 +237,10 @@ class TestConcurrentHotSwap:
 
     def test_lookups_remain_version_consistent_under_swaps(self, store, backend):
         registry = make_registry(store, backend)
-        engine = QueryEngine(registry, cache_capacity=4096, shards=4)
+        engine = QueryEngine(registry)
         host = "www.example.co.uk"
-        # The only legal (version, site) pairings, precomputed serially.
-        legal = {
-            index: registry.resident(index).match(host).site
-            for index in range(len(store))
-        }
+        # The only legal (version, site) pairings, from the dict oracle.
+        legal = {index: store.checkout(index).match(host).site for index in range(len(store))}
         errors: list[BaseException] = []
         answered = [0] * self.READERS
         stop = threading.Event()
@@ -298,6 +287,10 @@ class TestConcurrentHotSwap:
         registry = make_registry(store, backend)
         engine = QueryEngine(registry)
         hosts = [f"h{i}.example.co.uk" for i in range(50)]
+        legal = {
+            index: [store.checkout(index).match(host).site for host in hosts]
+            for index in range(len(store))
+        }
         errors: list[BaseException] = []
         stop = threading.Event()
 
@@ -317,6 +310,8 @@ class TestConcurrentHotSwap:
                     }
                     # Snapshot pinning: one batch, one version, always.
                     assert versions == {result.version_index}
+                    sites = [answer.site for answer in result.answers]
+                    assert sites == legal[result.version_index]
             except BaseException as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -329,8 +324,8 @@ class TestConcurrentHotSwap:
         assert not errors, f"raised under swap load: {errors[:3]}"
 
     def test_concurrent_resident_fills_are_safe(self, store, backend):
-        """Many threads demanding different versions at once (store
-        checkout is not thread-safe; the registry must serialize it)."""
+        """Many threads demanding different versions at once (the
+        registry must serialize materialization and eviction)."""
         registry = make_registry(store, backend, resident_capacity=2)
         errors: list[BaseException] = []
 
@@ -367,15 +362,19 @@ class TestRegistryIngest:
         snapshot = registry.ingest(datetime.date(2023, 1, 1), delta, packed_blob=blob)
         assert registry.active is snapshot
         assert snapshot.index == 3
-        assert snapshot.packed
+        assert snapshot.resident_bytes == len(blob)  # serves off the blob itself
         assert len(store) == 4
         assert registry.generation == 1
 
-    def test_ingest_without_blob_uses_the_dict_path(self, store):
+    def test_ingest_without_blob_packs_the_rule_set(self, store):
+        from repro.psl.packed import pack_rules
+
         registry = SnapshotRegistry(store)
         snapshot = registry.ingest(datetime.date(2023, 1, 1), self.delta("dev"))
         assert registry.active is snapshot
-        assert not snapshot.packed
+        assert snapshot.fingerprint == store.checkout(3).fingerprint
+        assert snapshot.resident_bytes == len(pack_rules(store.rules_at(3)))
+        assert snapshot.match("app.dev").site == "app.dev"
 
     def test_ingest_activate_false_keeps_the_pinned_active(self, store):
         registry = SnapshotRegistry(store)
@@ -451,7 +450,7 @@ class TestRegistryIngest:
         from repro.psl.packed import pack_rules
 
         registry = SnapshotRegistry(store)
-        engine = QueryEngine(registry, cache_capacity=64, shards=2)
+        engine = QueryEngine(registry)
         assert engine.site("a.foo.dev").site == "foo.dev"  # default rule
         rules = frozenset(store.rules_at(2) | {Rule.parse("foo.dev")})
         registry.ingest(
@@ -466,9 +465,33 @@ class TestRegistryIngest:
 
     def test_packed_registry_accepts_live_ingest_past_the_buffer(self, store):
         """A registry built over an immutable packed history must still
-        grow: versions beyond the buffer materialize via dict tries."""
+        grow: versions beyond the buffer are packed on their own."""
         registry = make_registry(store, "packed")
         snapshot = registry.ingest(datetime.date(2023, 1, 1), self.delta("dev"))
         assert registry.active is snapshot
         assert snapshot.index == 3
         assert registry.resident(3).psl.match("app.dev").site == "app.dev"
+
+    @pytest.mark.parametrize("with_blob", [True, False], ids=["blob", "no-blob"])
+    def test_evicted_ingested_version_rematerializes_identically(self, store, with_blob):
+        """An ingested version the resident LRU dropped comes back as the
+        same rule set: same fingerprint, same buffer size, same answers."""
+        from repro.psl.packed import pack_rules
+
+        registry = SnapshotRegistry(store, resident_capacity=2)
+        rules = frozenset(store.rules_at(2) | {Rule.parse("foo.dev")})
+        blob = pack_rules(rules) if with_blob else None
+        ingested = registry.ingest(
+            datetime.date(2023, 1, 1), self.delta("foo.dev"), packed_blob=blob
+        )
+        hosts = ["a.foo.dev", "www.example.co.uk", "x.y.kawasaki.jp", "city.kawasaki.jp"]
+        before = [ingested.match(host) for host in hosts]
+        registry.activate(2)
+        registry.resident(0)  # capacity 2 with v2 active: the ingested v3 is evicted
+        assert 3 not in registry.resident_indexes()
+        again = registry.resident(3)
+        assert again is not ingested
+        assert again.fingerprint == ingested.fingerprint == store.checkout(3).fingerprint
+        assert again.resident_bytes == ingested.resident_bytes == len(pack_rules(rules))
+        assert [again.match(host) for host in hosts] == before
+        assert before == [store.checkout(3).match(host) for host in hosts]

@@ -15,6 +15,7 @@ import pytest
 
 from repro.history.store import VersionStore
 from repro.pipeline.store import ArtifactStore
+from repro.psl.packed import pack_rules
 from repro.runtime.executor import RetryPolicy
 from repro.serve.snapshots import SnapshotRegistry
 from repro.update.slo import HealthState, SloPolicy
@@ -85,8 +86,9 @@ class TestHappyPath:
         generation_before = registry.generation
         watcher.poll_once()
         assert registry.generation == generation_before + 3
-        # The ingested snapshots serve from validated packed blobs.
-        assert registry.active.packed
+        # The ingested snapshots serve from validated single-version blobs.
+        active = registry.active
+        assert active.resident_bytes == len(pack_rules(truth.rules_at(active.index)))
 
     def test_commit_chain_matches_the_upstream_history(self, truth):
         watcher, registry, _ = make_watcher(truth, behind=3)

@@ -1,7 +1,10 @@
 """Tests for streaming site accounting."""
 
+import pytest
+
 from repro.webgraph.sites import group_sites, site_metrics
 from repro.webgraph.stream import (
+    LruDict,
     count_sites_streaming,
     count_third_party_streaming,
     iter_hostnames_from_jsonl,
@@ -111,3 +114,45 @@ class TestJsonlStreaming:
         assert streamed.hostnames == len(snapshot)
         metrics = site_metrics(group_sites(small_psl, snapshot.hostnames))
         assert streamed.sites == metrics.site_count
+
+
+class TestLruDict:
+    """The bounded memo behind ``count_third_party_streaming``."""
+
+    def test_lru_eviction(self):
+        lru: LruDict[str, int] = LruDict(2)
+        lru.put("a", 1)
+        lru.put("b", 2)
+        lru.put("c", 3)  # evicts a, the least recently used
+        assert "a" not in lru and lru.get("a") is None
+        assert lru.get("b") == 2 and lru.get("c") == 3
+        assert len(lru) == 2
+
+    def test_move_to_end_on_hit(self):
+        lru: LruDict[str, int] = LruDict(2)
+        lru.put("a", 1)
+        lru.put("b", 2)
+        assert lru.get("a") == 1  # refresh a; b becomes least recent
+        lru.put("c", 3)  # evicts b, not a
+        assert "b" not in lru
+        assert "a" in lru and "c" in lru
+
+    def test_put_refreshes_an_existing_key(self):
+        lru: LruDict[str, int] = LruDict(2)
+        lru.put("a", 1)
+        lru.put("b", 2)
+        lru.put("a", 10)  # overwrite refreshes a
+        lru.put("c", 3)  # evicts b
+        assert lru.get("a") == 10 and "b" not in lru
+
+    def test_rejects_none(self):
+        lru: LruDict[str, int] = LruDict(2)
+        with pytest.raises(ValueError, match="miss sentinel"):
+            lru.put("k", None)  # type: ignore[arg-type]
+        assert len(lru) == 0
+
+    def test_capacity_validated(self):
+        for capacity in (0, -1):
+            with pytest.raises(ValueError, match="capacity"):
+                LruDict(capacity)
+        assert LruDict(1).capacity == 1
