@@ -63,7 +63,7 @@ def test_bench_delta_sweep_vs_rebuild(sweep_world):
     store, hostnames = sweep_world
 
     begin = time.perf_counter()
-    engine_counts = SweepEngine(store).sweep_sites(hostnames)
+    engine_counts = SweepEngine(store).sweep(hostnames).site_counts
     engine_seconds = time.perf_counter() - begin
 
     begin = time.perf_counter()

@@ -8,9 +8,11 @@ synthetic history and shows the two performance knobs:
 * ``workers`` — process count.  ``1`` (default) runs serially; any
   value produces bit-identical results, so parallelism is purely a
   wall-clock decision (use > 1 only on multi-core hosts).
-* ``chunk_size`` — hostnames/request pairs per worker task.  The
-  default (4096, auto-shrunk so a parallel run has chunks to balance)
-  is right for almost everyone; shrink it for very lumpy universes.
+* ``chunk_size`` — distinct hostnames per worker task (each request
+  rides with its page's chunk).  The default (65,536, auto-shrunk so a
+  parallel run has chunks to balance) is right for almost everyone:
+  every chunk replays the whole delta chain, so fewer chunks are
+  cheaper.
 
 The same engine backs ``psl-repro fig5`` etc. — pass ``--workers N``
 there to get the pool without writing code.
@@ -51,12 +53,11 @@ def main() -> None:
         print(f"{index:7d}   {version.date}   {series.site_counts[index]:6,d}  "
               f"{series.third_party[index]:9,d}   {series.divergence[index]:8,d}")
 
-    # The narrow entry points answer one figure at a time; a custom
-    # chunk size just changes the fan-out granularity, never the
-    # numbers.
-    shredded = SweepEngine(store, chunk_size=512).sweep_sites(hostnames)
-    assert shredded == series.site_counts
-    print("\nchunk_size=512 reproduces the identical series — "
+    # A custom chunk size just changes the fan-out granularity, never
+    # the numbers.
+    shredded = SweepEngine(store, chunk_size=8192).sweep(hostnames, pairs)
+    assert shredded == series
+    print("\nchunk_size=8192 reproduces the identical series — "
           "tune freely, results never move")
 
 

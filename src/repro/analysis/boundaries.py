@@ -11,8 +11,8 @@ One forward pass over the history drives all three figures at once:
 
 The pass is delta-driven (only hostnames under rules a delta touched
 are re-examined) and runs on the :class:`repro.sweep.SweepEngine`,
-which keeps one trie per worker across the whole history and can fan
-the universe out over a process pool — that is what makes evaluating
+which keeps one live trie per chunk across the whole history and can
+fan the chunks out over a process pool — that is what makes evaluating
 all 1,142 versions against hundreds of thousands of hostnames take
 seconds instead of hours.  The per-version ``diff_vs_latest`` record
 doubles as the lookup table for Table 3's "# of missing hostnames"
@@ -26,8 +26,8 @@ import datetime
 from dataclasses import dataclass
 
 from repro.history.store import VersionStore
-from repro.runtime import FaultPlan, RetryPolicy
-from repro.sweep import SweepEngine, SweepFailureReport
+from repro.runtime import ExecutionReport, FaultPlan, RetryPolicy
+from repro.sweep import SweepEngine
 from repro.webgraph.archive import Snapshot
 
 
@@ -51,7 +51,7 @@ class SweepResult:
     total_requests: int
     #: Resilience outcome of the underlying engine run; ``degraded``
     #: means quarantined chunks were excluded from every series here.
-    failure_report: SweepFailureReport | None = None
+    failure_report: ExecutionReport | None = None
 
     @property
     def first(self) -> SweepPoint:
@@ -91,7 +91,7 @@ def run_sweep(
     chunk_size: int | None = None,
     checkpoint_dir: str | None = None,
     resume: bool = True,
-    resilience: RetryPolicy | None = RetryPolicy(),
+    policy: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
     fingerprint: str | None = None,
 ) -> SweepResult:
@@ -103,7 +103,7 @@ def run_sweep(
     configuration.  ``checkpoint_dir`` spills completed chunks so a
     killed sweep re-run with ``resume=True`` restarts from the last
     completed chunk; the returned result carries the engine's
-    :class:`~repro.sweep.SweepFailureReport` so callers can detect a
+    :class:`~repro.runtime.ExecutionReport` so callers can detect a
     degraded (quarantined-chunk) run.  ``fingerprint`` optionally
     identifies the (store, snapshot) universe by an already-computed
     digest — the pipeline's sweep stage passes its own artifact
@@ -116,7 +116,7 @@ def run_sweep(
         chunk_size=chunk_size,
         checkpoint_dir=checkpoint_dir,
         resume=resume,
-        resilience=resilience,
+        policy=policy,
         fault_plan=fault_plan,
     )
     series = engine.sweep(
@@ -138,5 +138,5 @@ def run_sweep(
         points=points,
         total_hostnames=len(snapshot.hostnames),
         total_requests=snapshot.request_count,
-        failure_report=engine.last_failure_report,
+        failure_report=engine.last_report,
     )

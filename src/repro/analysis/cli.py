@@ -97,7 +97,7 @@ def _diagnose_degraded(results: list[boundaries.SweepResult]) -> str | None:
             json.dump(payload, handle, indent=2, sort_keys=True)
     except OSError:
         path = "<unwritable>"
-    chunk_ids = sorted({chunk for report in degraded for chunk in report.quarantined_chunks})
+    chunk_ids = sorted({chunk for report in degraded for chunk in report.quarantined_ids})
     return (
         f"sweep degraded: quarantined chunks [{', '.join(chunk_ids)}] "
         f"excluded from the series; failure report at {path}"

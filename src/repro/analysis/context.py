@@ -178,8 +178,6 @@ def world_stages(
             upstream=("history", "snapshot"),
             params={
                 "workers": sweep.workers,
-                "sites": True,
-                "divergence": True,
                 "baseline": -1,
             },
             # A degraded sweep (quarantined chunks) must never seed a

@@ -15,9 +15,11 @@ Layer map (each composes an existing platform layer):
   chunks behind :func:`repro.net.hostname.normalize_or_reject`
   (malformed rows are counted-and-skipped, never abort a chunk), plus
   chunk *references* small enough to pickle to workers;
-* :mod:`repro.classify.partials` — the worker: one chunk × all
-  versions, spilling per-version site counters to disk delta-encoded
-  so worker memory stays O(one version);
+* :mod:`repro.classify.partials` — the version-sweep kernel: one
+  chunk × all versions (from a packed blob or a rule chain), spilling
+  per-version site counters to disk delta-encoded so worker memory
+  stays O(one version); the Figures 5-7 sweep (:mod:`repro.sweep`)
+  runs on it too;
 * :mod:`repro.classify.engine` — the driver over
   :class:`repro.runtime.ResilientExecutor` (retries, quarantine,
   chunk-granular checkpoint/resume) with a version-at-a-time merge;
@@ -34,24 +36,30 @@ from repro.classify.columnar import (
     columnar_chunk,
     iter_columnar_chunks,
     spool_chunks,
+    universe_chunks,
 )
 from repro.classify.engine import (
     ClassifyEngine,
-    ClassifyFailureReport,
     ClassifyResult,
     VersionRow,
     select_version_indexes,
 )
-from repro.classify.partials import ChunkPartial, ClassifyTask, SpillRef, classify_chunk
+from repro.classify.partials import (
+    ChunkPartial,
+    ClassifyTask,
+    RuleChain,
+    SpillRef,
+    classify_chunk,
+)
 from repro.classify.stage import classify_pipeline, classify_stage
 
 __all__ = [
     "ChunkPartial",
     "ClassifyEngine",
-    "ClassifyFailureReport",
     "ClassifyResult",
     "ClassifyTask",
     "ColumnarChunk",
+    "RuleChain",
     "SpillRef",
     "SpooledChunkRef",
     "SyntheticChunkRef",
@@ -63,4 +71,5 @@ __all__ = [
     "iter_columnar_chunks",
     "select_version_indexes",
     "spool_chunks",
+    "universe_chunks",
 ]

@@ -62,13 +62,11 @@ def packed_artifact_path(seed: int, cache_dir: str | None, run_dir: str) -> str:
         from repro.pipeline import ArtifactStore, Pipeline
         from repro.webgraph.synthesis import SnapshotConfig
 
-        artifacts = ArtifactStore(cache_dir)
         pipeline = Pipeline(
             world_stages(seed, SnapshotConfig(seed=seed), SweepSettings()),
-            store=artifacts,
+            store=ArtifactStore(cache_dir),
         )
-        pipeline.build("packed")
-        path = artifacts.payload_path("packed", pipeline.fingerprint_of("packed"))
+        path = pipeline.payload_path("packed")
         if path is not None:
             return path
     from repro.history.synthesis import SynthesisConfig, synthesize_history

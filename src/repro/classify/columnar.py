@@ -8,9 +8,11 @@ splitting once per **distinct** hostname per chunk and stores the
 record structure as integer columns:
 
 * ``hosts`` — distinct normalized hostnames, first-seen order;
-* ``occurrences[i]`` — how many endpoint occurrences host ``i`` has
-  (site counting is per-occurrence, matching
-  :func:`repro.webgraph.stream.count_sites_streaming`);
+* ``occurrences[i]`` — host ``i``'s weight in the site and divergence
+  columns: its endpoint occurrences for a request log (site counting
+  is per-occurrence, matching
+  :func:`repro.webgraph.stream.count_sites_streaming`), 1 or 0 for a
+  figures universe (:func:`universe_chunks`);
 * ``pages``/``requests`` — per valid record, indexes into ``hosts``.
 
 Ingest admission is :func:`repro.net.hostname.normalize_or_reject`,
@@ -27,7 +29,9 @@ Workers receive chunk *references*, not chunks: a
 deterministic generator (:mod:`repro.webgraph.requestlog`) so the task
 pickle is a few hundred bytes at any scale; a :class:`SpooledChunkRef`
 names a digest-verified pickle spooled by the parent for arbitrary
-streams.
+streams.  An in-memory :class:`ColumnarChunk` is its own reference
+(:meth:`ColumnarChunk.load`), which is how the figures sweep ships its
+few, large universe chunks.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import os
 import pickle
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.net.errors import HostnameError
 from repro.net.hostname import normalize_or_reject
@@ -74,6 +78,10 @@ class ColumnarChunk:
 
     def __len__(self) -> int:
         return self.records
+
+    def load(self) -> "ColumnarChunk":
+        """A materialized chunk is its own chunk reference."""
+        return self
 
 
 def columnar_chunk(index: int, records: Iterable[tuple[str, str]]) -> ColumnarChunk:
@@ -142,8 +150,7 @@ def iter_columnar_chunks(
 
     Every record lands in exactly one chunk and all downstream merges
     are commutative sums, so results are bit-identical for any
-    ``chunk_records`` (the property tests pin this down, mirroring
-    :mod:`repro.sweep.chunks`).
+    ``chunk_records`` (the differential tests pin this down).
     """
     if chunk_records < 1:
         raise ValueError("chunk_records must be positive")
@@ -153,6 +160,53 @@ def iter_columnar_chunks(
         if not batch:
             return
         yield columnar_chunk(index, batch)
+
+
+def universe_chunks(
+    hostnames: Sequence[str], pairs: Iterable[tuple[str, str]], chunk_hosts: int
+) -> list[ColumnarChunk]:
+    """Columnarize a figures universe (hostnames plus request pairs).
+
+    Distinct hostnames are cut into consecutive slices of
+    ``chunk_hosts``, and each gets weight 1 in its slice's chunk only.
+    A request pair joins the chunk that owns its page host (else its
+    request host, else chunk 0); an endpoint that chunk does not own is
+    interned at weight 0.  Hostnames are taken as given — the figures
+    universe is already normalized, so there is no ingest gate and
+    nothing is skipped.
+    """
+    if chunk_hosts < 1:
+        raise ValueError("chunk_hosts must be positive")
+    distinct = list(dict.fromkeys(hostnames))
+    owner = {host: position // chunk_hosts for position, host in enumerate(distinct)}
+    # Per chunk: host -> slot, the weight column, the two pair columns.
+    columns = []
+    for start in range(0, len(distinct), chunk_hosts):
+        names = distinct[start : start + chunk_hosts]
+        slots = {host: slot for slot, host in enumerate(names)}
+        columns.append((slots, array("Q", [1]) * len(names), array("I"), array("I")))
+    for page, request in pairs:
+        if not columns:
+            columns.append(({}, array("Q"), array("I"), array("I")))
+        slots, weights, pages, requests = columns[owner.get(page, owner.get(request, 0))]
+        for host, column in ((page, pages), (request, requests)):
+            slot = slots.get(host)
+            if slot is None:
+                slot = slots[host] = len(weights)
+                weights.append(0)
+            column.append(slot)
+    return [
+        ColumnarChunk(
+            index=index,
+            hosts=tuple(slots),
+            occurrences=weights,
+            pages=pages,
+            requests=requests,
+            skipped_hosts=0,
+            skipped_pairs=0,
+        )
+        for index, (slots, weights, pages, requests) in enumerate(columns)
+    ]
 
 
 @dataclass(frozen=True, slots=True)

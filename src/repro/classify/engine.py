@@ -1,17 +1,20 @@
-"""The classify driver: fan-out, resilience, and the global merge.
+"""The version-sweep driver: fan-out, resilience, and the global merge.
 
-:class:`ClassifyEngine` turns a request-log source into per-version
-count tables by composing the platform layers:
+:class:`ClassifyEngine` turns a chunked hostname/request source into
+per-version count tables by composing the platform layers.  It drives
+both ``psl-classify`` (request logs over a packed blob) and, through
+:class:`repro.sweep.SweepEngine`, the Figures 5-7 sweep (a snapshot
+universe over a :class:`~repro.history.store.VersionStore`):
 
-* chunk planning mirrors :mod:`repro.sweep.chunks` — fixed-size chunks
-  with stable task ids, every merge a commutative sum, so results are
-  bit-identical for any chunk size or worker count;
+* chunks are fixed-size with stable task ids, and every merge is a
+  commutative sum, so results are bit-identical for any chunk size or
+  worker count;
 * execution is :class:`repro.runtime.ResilientExecutor` — bounded
   retries, ``BrokenProcessPool`` recovery, poisoned-chunk quarantine,
   and chunk-granular checkpoint/resume keyed by a manifest fingerprint
-  covering the source, the selected versions' packed-trie
-  fingerprints, and the chunking (a resumed run can only reuse results
-  bit-identical to what it would compute itself);
+  covering the source, the selected versions' rule-set fingerprints,
+  and the chunking (a resumed run can only reuse results bit-identical
+  to what it would compute itself);
 * the merge replays each chunk's delta-encoded spill against **one**
   global site counter, version at a time, so driver memory is O(one
   version's site universe) regardless of how many versions ran.
@@ -29,14 +32,21 @@ import time
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from repro.classify.columnar import SpooledChunkRef, SyntheticChunkRef, spool_chunks
+from repro.classify.columnar import (
+    ColumnarChunk,
+    SpooledChunkRef,
+    SyntheticChunkRef,
+    spool_chunks,
+)
 from repro.classify.partials import (
     ChunkPartial,
     ClassifyTask,
+    RuleChain,
     SpillReader,
     classify_chunk,
     partial_validator,
 )
+from repro.history.store import VersionStore
 from repro.psl.packed import PackedHistory
 from repro.runtime import (
     CheckpointStore,
@@ -44,7 +54,6 @@ from repro.runtime import (
     FaultPlan,
     ResilientExecutor,
     RetryPolicy,
-    TaskFailure,
 )
 from repro.webgraph.requestlog import RequestLogConfig, block_count, record_count
 from repro.webgraph.stream import StreamedSiteCounts, StreamedThirdPartyCounts
@@ -102,35 +111,6 @@ class VersionRow:
 
 
 @dataclass(frozen=True, slots=True)
-class ClassifyFailureReport:
-    """What a degraded run lost: the quarantined chunks and why."""
-
-    quarantined: tuple[TaskFailure, ...]
-    chunks: int
-
-    @property
-    def degraded(self) -> bool:
-        return bool(self.quarantined)
-
-    def summary(self) -> str:
-        lost = ", ".join(failure.task_id for failure in self.quarantined)
-        return (
-            f"classify degraded: {len(self.quarantined)}/{self.chunks} "
-            f"chunks quarantined ({lost}); counts cover surviving chunks only"
-        )
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "degraded": self.degraded,
-            "chunks": self.chunks,
-            "quarantined": [
-                {"task_id": f.task_id, "attempts": f.attempts, "error": f.error}
-                for f in self.quarantined
-            ],
-        }
-
-
-@dataclass(frozen=True, slots=True)
 class ClassifyResult:
     """Per-version tables plus the run's execution story."""
 
@@ -140,11 +120,10 @@ class ClassifyResult:
     records: int
     elapsed: float
     report: ExecutionReport
-    failure: ClassifyFailureReport | None
 
     @property
     def degraded(self) -> bool:
-        return self.failure is not None and self.failure.degraded
+        return self.report.degraded
 
     @property
     def records_per_second(self) -> float:
@@ -168,7 +147,7 @@ class ClassifyResult:
             "executed_chunks": self.report.executed,
             "retried": list(self.report.retried),
             "pool_rebuilds": self.report.pool_rebuilds,
-            "failure": self.failure.to_json() if self.failure else None,
+            "failure": self.report.to_json() if self.degraded else None,
             "rows": [row.to_json() for row in self.rows],
         }
 
@@ -189,13 +168,18 @@ class ClassifyResult:
             f"{oldest.misclassified_hostnames:,} hostname occurrences "
             f"({oldest.misclassified_share:.2%}) grouped differently than the latest list"
         )
-        if self.failure is not None and self.failure.degraded:
-            lines.append("  " + self.failure.summary())
+        if self.degraded:
+            lines.append("  " + self.report.summary())
         return "\n".join(lines)
 
 
 class ClassifyEngine:
-    """Runs one classify job end to end inside a run directory.
+    """Runs one version sweep end to end inside a run directory.
+
+    ``source`` is where the versions come from, chosen by type: a
+    packed ``PSLPAK1`` blob path (workers ``mmap`` it) or a
+    :class:`~repro.history.store.VersionStore` (workers replay its
+    deltas on one live trie — see :mod:`repro.classify.partials`).
 
     The run directory owns the mutable state — ``checkpoints/`` (the
     resume ledger), ``spills/`` (per-chunk version tables), and
@@ -205,7 +189,7 @@ class ClassifyEngine:
 
     def __init__(
         self,
-        packed_path: str,
+        source: str | VersionStore,
         *,
         version_indexes: Sequence[int],
         baseline: int = -1,
@@ -218,9 +202,21 @@ class ClassifyEngine:
     ) -> None:
         if not version_indexes:
             raise ValueError("version_indexes must not be empty")
-        self._packed_path = os.path.abspath(packed_path)
-        self._history = PackedHistory.load(self._packed_path)
-        total = len(self._history)
+        self._source: str | RuleChain
+        if isinstance(source, VersionStore):
+            total = len(source)
+            digests = [format(version.set_digest, "x") for version in source.versions]
+            self._fingerprint = digests.__getitem__
+            self._source = RuleChain(
+                initial_rules=source.rules_at(0),
+                deltas=tuple(version.delta for version in source.versions[1:]),
+                baseline_rules=source.rules_at(baseline),
+            )
+        else:
+            self._source = os.path.abspath(source)
+            history = PackedHistory.load(self._source)
+            total = len(history)
+            self._fingerprint = history.fingerprint
         self._versions = tuple(sorted({range(total)[i] for i in version_indexes}))
         self._baseline = range(total)[baseline]
         self._workers = workers
@@ -293,6 +289,11 @@ class ClassifyEngine:
         }
         return self._run(list(refs), source)
 
+    def run_chunks(self, chunks: Sequence[ColumnarChunk], identity: Any) -> ClassifyResult:
+        """Classify in-memory chunks; ``identity`` describes their
+        content (and chunking) to the checkpoint manifest."""
+        return self._run(list(chunks), {"kind": "chunks", "identity": identity})
+
     # -- the run --------------------------------------------------------------
 
     def _manifest(self, source: dict[str, Any]) -> dict[str, Any]:
@@ -301,8 +302,8 @@ class ClassifyEngine:
             "source": source,
             "versions": list(self._versions),
             "baseline": self._baseline,
-            "tries": [self._history.fingerprint(i) for i in self._versions],
-            "baseline_trie": self._history.fingerprint(self._baseline),
+            "tries": [self._fingerprint(i) for i in self._versions],
+            "baseline_trie": self._fingerprint(self._baseline),
         }
         if self._context is not None:
             material["context"] = self._context
@@ -310,23 +311,13 @@ class ClassifyEngine:
 
     def _run(
         self,
-        refs: Sequence[SyntheticChunkRef | SpooledChunkRef],
+        refs: Sequence[SyntheticChunkRef | SpooledChunkRef | ColumnarChunk],
         source: dict[str, Any],
     ) -> ClassifyResult:
         started = time.perf_counter()
         checkpoint = CheckpointStore(os.path.join(self._run_dir, "checkpoints"))
         checkpoint.reconcile(self._manifest(source), resume=self._resume)
-        spill_dir = os.path.join(self._run_dir, "spills")
-        tasks = [
-            ClassifyTask(
-                ref=ref,
-                packed_path=self._packed_path,
-                version_indexes=self._versions,
-                baseline_index=self._baseline,
-                spill_dir=spill_dir,
-            )
-            for ref in refs
-        ]
+        tasks = self.tasks(refs)
         executor = ResilientExecutor(
             workers=self._workers,
             policy=self._policy,
@@ -340,13 +331,9 @@ class ClassifyEngine:
             validate=partial_validator(len(self._versions)),
         )
         partials = [value for value in results if value is not None]
-        failure: ClassifyFailureReport | None = None
         if report.degraded:
-            failure = ClassifyFailureReport(
-                quarantined=report.quarantined, chunks=len(tasks)
-            )
-            checkpoint.write_report(failure.to_json())
-        rows = self._merge(partials)
+            checkpoint.write_report(report.to_json())
+        rows = self.merge(partials)
         return ClassifyResult(
             rows=rows,
             baseline_index=self._baseline,
@@ -354,15 +341,34 @@ class ClassifyEngine:
             records=sum(partial.records for partial in partials),
             elapsed=time.perf_counter() - started,
             report=report,
-            failure=failure,
         )
 
-    def _merge(self, partials: Sequence[ChunkPartial]) -> tuple[VersionRow, ...]:
+    def tasks(
+        self, refs: Sequence[SyntheticChunkRef | SpooledChunkRef | ColumnarChunk]
+    ) -> list[ClassifyTask]:
+        """One kernel task per chunk reference, spilling into the run
+        directory's ``spills/``."""
+        spill_dir = os.path.join(self._run_dir, "spills")
+        return [
+            ClassifyTask(
+                ref=ref,
+                source=self._source,
+                version_indexes=self._versions,
+                baseline_index=self._baseline,
+                spill_dir=spill_dir,
+            )
+            for ref in refs
+        ]
+
+    def merge(self, partials: Sequence[ChunkPartial]) -> tuple[VersionRow, ...]:
         """Version-at-a-time merge over the chunks' spill deltas.
 
         One global ``site -> occurrences`` counter is carried through
         the version axis; each version applies every chunk's delta,
         drops zeroed sites, and snapshots the distinct/largest numbers.
+        The largest site is tracked through the deltas and re-scanned
+        only when the site holding it shrinks, so a long history costs
+        O(changes), not O(versions x sites).
         """
         hostnames = sum(partial.hostnames for partial in partials)
         skipped_hosts = sum(partial.skipped_hosts for partial in partials)
@@ -370,25 +376,34 @@ class ClassifyEngine:
         total_pairs = sum(partial.total_pairs for partial in partials)
         readers = [SpillReader(partial.spill.path) for partial in partials]
         counter: dict[str, int] = {}
+        largest = 0
         rows: list[VersionRow] = []
         try:
             for slot, version_index in enumerate(self._versions):
                 get = counter.get
+                shrunk = False
                 for reader in readers:
                     for site, delta in reader.read(slot).items():
-                        value = get(site, 0) + delta
+                        old = get(site, 0)
+                        value = old + delta
                         if value:
                             counter[site] = value
                         else:
                             del counter[site]
+                        if value > largest:
+                            largest = value
+                        elif old == largest and value < old:
+                            shrunk = True
+                if shrunk:
+                    largest = max(counter.values(), default=0)
                 rows.append(
                     VersionRow(
                         version_index=version_index,
-                        trie_fingerprint=self._history.fingerprint(version_index),
+                        trie_fingerprint=self._fingerprint(version_index),
                         sites=StreamedSiteCounts(
                             hostnames=hostnames,
                             sites=len(counter),
-                            largest_site=max(counter.values(), default=0),
+                            largest_site=largest,
                             skipped=skipped_hosts,
                         ),
                         third_party=StreamedThirdPartyCounts(

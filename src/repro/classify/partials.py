@@ -1,13 +1,26 @@
-"""The classify worker: one chunk × all versions, spilled to disk.
+"""The version-sweep kernel: one chunk × all versions, spilled to disk.
 
 Each worker task classifies every distinct hostname of one
 :class:`~repro.classify.columnar.ColumnarChunk` under every selected
-PSL version by walking the packed trie
-(:meth:`repro.psl.packed.PackedHistory.trie` /
-:func:`repro.webgraph.sites.site_for_reversed` — the same site
-function every other layer uses).  The packed blob is opened once per
-*process* and ``mmap``-ed, so a pool of N workers shares one physical
-copy of the whole history.
+PSL version (:func:`repro.webgraph.sites.site_for_reversed` — the same
+site function every other layer uses).  Both the bulk classify engine
+and the Figures 5-7 sweep run this one kernel; the task names where its
+versions come from, and the kernel picks the walk by that type:
+
+* a packed blob **path** — versions are zero-copy
+  :meth:`repro.psl.packed.PackedHistory.trie` views; the blob is opened
+  once per *process* and ``mmap``-ed, so a pool of N workers shares one
+  physical copy of the whole history;
+* a :class:`RuleChain` — the first version's rules plus one
+  :class:`~repro.psl.diff.RuleDelta` per later version, replayed in
+  place on one live :class:`~repro.psl.trie.SuffixTrie` (no blob to
+  pack, which is what keeps the 1,142-version figures sweep lean).
+
+Chunk hostnames carry weights (``ColumnarChunk.occurrences``): request
+logs weight by occurrence, the figures universe gives each distinct
+hostname weight 1 in exactly one chunk, and an endpoint a chunk only
+sees inside a request pair rides along at weight 0 — walked for the
+third-party column, invisible to the site and divergence columns.
 
 **Why a spill file.**  The merge needs per-version site multisets
 (distinct-site and largest-site numbers are global properties), but a
@@ -31,17 +44,20 @@ as silent data loss.
 
 from __future__ import annotations
 
-import hashlib
 import operator
 import os
 import pickle
 import struct
 from dataclasses import dataclass
-from itertools import compress
-from typing import BinaryIO
+from itertools import chain, compress
+from typing import BinaryIO, Iterator, Sequence
 
 from repro.classify.columnar import ColumnarChunk, SpooledChunkRef, SyntheticChunkRef
-from repro.psl.packed import PackedHistory
+from repro.fingerprint import file_digest
+from repro.psl.diff import RuleDelta
+from repro.psl.packed import PackedHistory, PackedTrie
+from repro.psl.rules import Rule
+from repro.psl.trie import SuffixTrie
 from repro.webgraph.sites import site_for_reversed
 
 _SPILL_MAGIC = b"PSLCLSP1"
@@ -62,11 +78,7 @@ class SpillRef:
         try:
             if os.path.getsize(self.path) != self.nbytes:
                 return False
-            digest = hashlib.sha256()
-            with open(self.path, "rb") as handle:
-                for block in iter(lambda: handle.read(1 << 20), b""):
-                    digest.update(block)
-            return digest.hexdigest() == self.digest
+            return file_digest(self.path) == self.digest
         except OSError:
             return False
 
@@ -93,17 +105,30 @@ class ChunkPartial:
 
 
 @dataclass(frozen=True, slots=True)
-class ClassifyTask:
-    """Everything one worker invocation needs, in a tiny pickle.
+class RuleChain:
+    """A history as rules: version 0's rule set, then ``deltas[i]``
+    leading from version ``i`` to ``i + 1``.  ``baseline_rules`` are the
+    rules of the task's baseline version (the kernel needs them before
+    the replay reaches it)."""
 
-    ``packed_path`` is the on-disk ``PSLPAK1`` blob every worker
-    ``mmap``s; ``version_indexes`` are resolved, ascending raw history
-    indexes; ``baseline_index`` is the latest-list reference the
-    misclassification delta is measured against.
+    initial_rules: frozenset[Rule]
+    deltas: tuple[RuleDelta, ...]
+    baseline_rules: frozenset[Rule]
+
+
+@dataclass(frozen=True, slots=True)
+class ClassifyTask:
+    """Everything one worker invocation needs.
+
+    ``source`` names where the versions come from: the path of the
+    on-disk ``PSLPAK1`` blob every worker ``mmap``s, or a
+    :class:`RuleChain`.  ``version_indexes`` are resolved, ascending raw
+    history indexes; ``baseline_index`` is the reference version the
+    misclassification (divergence) column is measured against.
     """
 
-    ref: SyntheticChunkRef | SpooledChunkRef
-    packed_path: str
+    ref: SyntheticChunkRef | SpooledChunkRef | ColumnarChunk
+    source: str | RuleChain
     version_indexes: tuple[int, ...]
     baseline_index: int
     spill_dir: str
@@ -147,13 +172,10 @@ class SpillWriter:
         for offset in self._offsets:
             self._handle.write(_OFFSET.pack(offset))
         self._handle.close()
-        digest = hashlib.sha256()
-        with open(self._temp, "rb") as handle:
-            for block in iter(lambda: handle.read(1 << 20), b""):
-                digest.update(block)
+        digest = file_digest(self._temp)
         nbytes = os.path.getsize(self._temp)
         os.replace(self._temp, self._path)
-        return SpillRef(path=self._path, nbytes=nbytes, digest=digest.hexdigest())
+        return SpillRef(path=self._path, nbytes=nbytes, digest=digest)
 
     def abort(self) -> None:
         try:
@@ -206,6 +228,11 @@ _HISTORY_CACHE: dict[str, PackedHistory] = {}
 # every chunk of a run, so computed once per (process, run shape).
 _PLAN_CACHE: dict[tuple[str, tuple[int, ...]], list[frozenset[tuple[str, ...]] | None]] = {}
 
+#: One selected version: its raw index, the rule prefixes changed since
+#: the previous selected version (``None`` for the first: walk every
+#: host), and a trie for it (``None`` when nothing changed).
+_Step = tuple[int, "frozenset[tuple[str, ...]] | None", "PackedTrie | SuffixTrie | None"]
+
 
 def _history(path: str) -> PackedHistory:
     cached = _HISTORY_CACHE.get(path)
@@ -215,28 +242,31 @@ def _history(path: str) -> PackedHistory:
     return cached
 
 
-def _rule_prefix(name: str) -> tuple[str, ...]:
+def _rule_prefix(labels: Sequence[str]) -> tuple[str, ...]:
     """The reversed-label prefix under which a rule can affect hosts.
 
+    ``labels`` are the rule's labels TLD-first (:attr:`Rule.labels`).
     A rule change can only move the prevailing match of hosts whose
     reversed labels pass through the rule's trie path.  PSL wildcards
-    are leftmost-only, so stripping trailing ``*`` labels (in reversed
-    order) yields a conservative literal prefix: ``*.ck`` affects at
-    most the hosts under ``("ck",)``.
+    are leftmost-only, so dropping a trailing ``*`` label yields a
+    conservative literal prefix: ``*.ck`` affects at most the hosts
+    under ``("ck",)``.
     """
-    labels = name.split(".")
-    labels.reverse()
-    while labels and labels[-1] == "*":
-        labels.pop()
-    return tuple(labels)
+    labels = tuple(labels)
+    return labels[:-1] if labels and labels[-1] == "*" else labels
 
 
 def _version_plan(
     path: str, history: PackedHistory, version_indexes: tuple[int, ...]
 ) -> list[frozenset[tuple[str, ...]] | None]:
     """Per-slot changed prefixes: ``None`` for slot 0 (full walk),
-    else the union of prefixes of rules added/removed/rekinded since
-    the previous selected version."""
+    else the prefixes of rules added/removed/rekinded since the
+    previous selected version.
+
+    Versions are compared as sets of rule *records* (meta word plus
+    label ids, :meth:`PackedTrie.rule_keys`), so no :class:`Rule` is
+    built; only the symmetric difference is mapped back to labels.
+    """
     key = (path, version_indexes)
     cached = _PLAN_CACHE.get(key)
     if cached is not None:
@@ -244,16 +274,50 @@ def _version_plan(
     plan: list[frozenset[tuple[str, ...]] | None] = []
     previous: frozenset | None = None
     for version_index in version_indexes:
-        rules = frozenset(history.trie(version_index).iter_rules())
+        trie = history.trie(version_index)
+        records = trie.rule_keys()
         if previous is None:
             plan.append(None)
         else:
             plan.append(
-                frozenset(_rule_prefix(rule.name) for rule in rules ^ previous)
+                frozenset(_rule_prefix(trie.key_labels(k)) for k in records ^ previous)
             )
-        previous = rules
+        previous = records
     _PLAN_CACHE[key] = plan
     return plan
+
+
+def _packed_steps(path: str, version_indexes: tuple[int, ...]) -> Iterator[_Step]:
+    history = _history(path)
+    plan = _version_plan(path, history, version_indexes)
+    for version_index, prefixes in zip(version_indexes, plan):
+        changed = prefixes is None or bool(prefixes)
+        yield version_index, prefixes, history.trie(version_index) if changed else None
+
+
+def _chain_steps(rules: RuleChain, version_indexes: tuple[int, ...]) -> Iterator[_Step]:
+    """Advance one live trie through the chain; the step plan is the
+    prefixes of every rule the deltas in between touch."""
+    trie = SuffixTrie(rules.initial_rules)
+    applied = 0
+    for slot, version_index in enumerate(version_indexes):
+        prefixes: set[tuple[str, ...]] = set()
+        for delta in rules.deltas[applied:version_index]:
+            trie.apply_delta(delta)
+            prefixes.update(
+                _rule_prefix(rule.labels) for rule in chain(delta.removed, delta.added)
+            )
+        applied = version_index
+        yield version_index, (frozenset(prefixes) if slot else None), trie
+
+
+def _versions(task: ClassifyTask) -> tuple[PackedTrie | SuffixTrie, Iterator[_Step]]:
+    """The baseline trie and the version steps, chosen by source type."""
+    if isinstance(task.source, str):
+        baseline = _history(task.source).trie(task.baseline_index)
+        return baseline, _packed_steps(task.source, task.version_indexes)
+    baseline = SuffixTrie(task.source.baseline_rules)
+    return baseline, _chain_steps(task.source, task.version_indexes)
 
 
 class _ChunkColumns:
@@ -299,24 +363,21 @@ def classify_chunk(task: ClassifyTask) -> ChunkPartial:
 
     Only the baseline and the first selected version pay a full
     ``hosts`` trie walk; every later version is **incremental**: the
-    run's version plan names the rule prefixes that changed since the
-    previous selected version, only hosts under those prefixes are
-    re-walked, and the third-party / misclassification / spill numbers
-    are updated from the actual site flips alone.  A typical version
-    step changes a few dozen rules, so per-version cost is O(changed),
-    not O(hosts) — the same delta philosophy the sweep engine applies
-    across versions, pushed into the worker.
+    step plan names the rule prefixes that changed since the previous
+    selected version, only hosts under those prefixes are re-walked,
+    and the third-party / misclassification / spill numbers are
+    updated from the actual site flips alone.  A typical version step
+    changes a few dozen rules, so per-version cost is O(changed), not
+    O(hosts).
     """
     chunk = task.ref.load()
-    history = _history(task.packed_path)
-    plan = _version_plan(task.packed_path, history, task.version_indexes)
+    baseline_trie, steps = _versions(task)
     columns = _ChunkColumns(chunk)
     rlabels = columns.rlabels
     occurrences = chunk.occurrences
     pages = chunk.pages
     requests = chunk.requests
 
-    baseline_trie = history.trie(task.baseline_index)
     base_sites = [site_for_reversed(baseline_trie, labels) for labels in rlabels]
     os.makedirs(task.spill_dir, exist_ok=True)
     writer = SpillWriter(
@@ -328,15 +389,13 @@ def classify_chunk(task: ClassifyTask) -> ChunkPartial:
     current_tp = 0
     current_mis = 0
     try:
-        for slot, version_index in enumerate(task.version_indexes):
-            prefixes = plan[slot]
+        for version_index, prefixes, trie in steps:
             if prefixes is None:
                 # Full walk (first selected version), full counters.
                 if version_index == task.baseline_index:
                     sites = base_sites.copy()
                     current_mis = 0
                 else:
-                    trie = history.trie(version_index)
                     sites = [site_for_reversed(trie, labels) for labels in rlabels]
                     current_mis = sum(
                         compress(occurrences, map(operator.ne, sites, base_sites))
@@ -345,7 +404,8 @@ def classify_chunk(task: ClassifyTask) -> ChunkPartial:
                 get = full.get
                 for site, occurrence in zip(sites, occurrences):
                     full[site] = get(site, 0) + occurrence
-                writer.add(full)
+                # Weight-0 endpoints can leave all-zero sites behind.
+                writer.add({site: n for site, n in full.items() if n})
                 site_of = sites.__getitem__
                 current_tp = sum(
                     map(operator.ne, map(site_of, pages), map(site_of, requests))
@@ -353,7 +413,6 @@ def classify_chunk(task: ClassifyTask) -> ChunkPartial:
             else:
                 changes: dict[int, str] = {}
                 if prefixes:
-                    trie = history.trie(version_index)
                     for i in columns.candidates(prefixes):
                         new_site = site_for_reversed(trie, rlabels[i])
                         if new_site != sites[i]:

@@ -27,7 +27,6 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from repro.analysis.context import SweepSettings, world_stages
 from repro.classify.engine import ClassifyEngine, ClassifyResult, select_version_indexes
 from repro.pipeline import ArtifactStore, Pipeline, Stage, StageContext
 from repro.psl.packed import PackedHistory
@@ -138,6 +137,10 @@ def classify_pipeline(
     pipeline first (:meth:`Pipeline.fingerprint_of` is pure), the same
     trick the serving CLI uses to locate the raw artifact.
     """
+    # Imported here: the world DAG's sweep stage runs on this package's
+    # engine, so a module-level import would be circular.
+    from repro.analysis.context import SweepSettings, world_stages
+
     snapshot_config = snapshot_config or SnapshotConfig(seed=seed)
     base = world_stages(seed, snapshot_config, SweepSettings())
     packed_fingerprint = Pipeline(base).fingerprint_of("packed")

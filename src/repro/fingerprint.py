@@ -1,12 +1,12 @@
 """Canonical fingerprinting: one keying scheme for every durable cache.
 
-Pipeline artifacts (:mod:`repro.pipeline`), sweep checkpoint manifests
-(:mod:`repro.runtime.checkpoint`), and the sweep engine's resume keys
-(:mod:`repro.sweep.engine`) all derive their identities here, so two
-layers can never disagree about what "the same run" means: the caller
-describes the run as plain data (dicts, dataclasses, dates, sets, …),
-:func:`fingerprint` canonicalizes it to sorted-key JSON and hashes it
-with SHA-256.
+Pipeline artifacts (:mod:`repro.pipeline`), checkpoint manifests
+(:mod:`repro.runtime.checkpoint`), and the version-sweep engine's
+resume keys (:mod:`repro.classify.engine`) all derive their identities
+here, so two layers can never disagree about what "the same run"
+means: the caller describes the run as plain data (dicts, dataclasses,
+dates, sets, …), :func:`fingerprint` canonicalizes it to sorted-key
+JSON and hashes it with SHA-256.
 
 Canonicalization rules (:func:`canonical`):
 
@@ -34,7 +34,10 @@ import hashlib
 import json
 from typing import Any
 
-__all__ = ["canonical", "canonical_json", "fingerprint"]
+__all__ = ["canonical", "canonical_json", "file_digest", "fingerprint"]
+
+#: Read size for :func:`file_digest`: hashing never holds more than this.
+_DIGEST_BLOCK = 1 << 20
 
 
 def _qualified_name(cls: type) -> str:
@@ -86,3 +89,16 @@ def fingerprint(obj: Any) -> str:
     return hashlib.sha256(
         canonical_json(obj).encode("utf-8", "surrogatepass")
     ).hexdigest()
+
+
+def file_digest(path: str) -> str:
+    """SHA-256 (hex) of a file's bytes, read in 1 MiB blocks.
+
+    The one digest loop for on-disk payloads (artifact files, classify
+    spills): memory stays O(block) however large the file is.
+    """
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(_DIGEST_BLOCK), b""):
+            digest.update(block)
+    return digest.hexdigest()

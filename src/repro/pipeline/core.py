@@ -306,6 +306,21 @@ class Pipeline:
         )
         return value
 
+    def payload_path(self, name: str) -> str | None:
+        """The verified on-disk payload file of ``name``, built only on
+        a miss.
+
+        The ``mmap`` consumers' entry point: a warm store answers with
+        the file alone, so the payload never enters this process's
+        heap; ``None`` when the store has no disk layer.
+        """
+        fingerprint = self.fingerprint_of(name)
+        path = self._store.payload_path(name, fingerprint)
+        if path is None:
+            self.build(name)
+            path = self._store.payload_path(name, fingerprint)
+        return path
+
     def artifact(self, name: str) -> Artifact:
         """Build ``name`` (if needed) and return its :class:`Artifact`."""
         self.build(name)

@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.fingerprint import file_digest
 from repro.runtime.checkpoint import atomic_write_bytes
 
 __all__ = ["Artifact", "ArtifactStore", "memory_store"]
@@ -142,9 +143,7 @@ class ArtifactStore:
                 meta = json.load(handle)
             raw = meta.get("format", "pickle") == "raw"
             payload_path, _ = self._paths(stage, fingerprint, raw=raw)
-            with open(payload_path, "rb") as handle:
-                digest = hashlib.sha256(handle.read()).hexdigest()
-            if digest != meta.get("digest"):
+            if file_digest(payload_path) != meta.get("digest"):
                 return None
         except (OSError, ValueError, KeyError):
             return None

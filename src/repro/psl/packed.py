@@ -720,6 +720,26 @@ class PackedTrie:
         for rule_id in range(len(self._rule_cache)):
             yield self._rule(rule_id)
 
+    def rule_keys(self) -> frozenset[tuple[int, tuple[int, ...]]]:
+        """Every stored rule as ``(meta, label ids)``, no :class:`Rule` built.
+
+        The label table is shared by all versions of one buffer, so two
+        versions' key sets compare like their rule sets: the symmetric
+        difference is exactly the rules added, removed or re-kinded.
+        """
+        records = self._rules_mv.tolist()
+        ids = self._rule_labels.tolist()
+        metas = records[0::2]
+        return frozenset(
+            zip(metas, (tuple(ids[start : start + (meta >> 3)])
+                        for meta, start in zip(metas, records[1::2])))
+        )
+
+    def key_labels(self, key: tuple[int, tuple[int, ...]]) -> tuple[str, ...]:
+        """A :meth:`rule_keys` entry's labels, TLD-first (:attr:`Rule.labels`)."""
+        names = self._history._label_strings()
+        return tuple(names[label_id] for label_id in key[1])
+
     # -- the lookup algorithms (mirrors of SuffixTrie) -----------------------
 
     def _find_child(self, node: int, label_id: int) -> int:

@@ -1,4 +1,4 @@
-"""The resilient task-execution layer under the sweep engine.
+"""The resilient task-execution layer under the version-sweep engine.
 
 Long longitudinal jobs (the paper's 498M-request × 1,142-version
 replay) live or die on surviving partial failure; this package is the
@@ -27,7 +27,6 @@ from repro.runtime.executor import (
     ResilientExecutor,
     RetryPolicy,
     TaskFailure,
-    merge_reports,
 )
 from repro.runtime.faults import (
     ALWAYS,
@@ -55,5 +54,4 @@ __all__ = [
     "TaskFailure",
     "atomic_write_bytes",
     "invoke_with_faults",
-    "merge_reports",
 ]

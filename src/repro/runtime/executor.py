@@ -95,7 +95,13 @@ class TaskFailure:
 
 @dataclass(frozen=True, slots=True)
 class ExecutionReport:
-    """What one :meth:`ResilientExecutor.run` call went through."""
+    """What one :meth:`ResilientExecutor.run` call went through.
+
+    This is also the failure report of a version sweep: a ``degraded``
+    run produced its numbers over a universe missing the quarantined
+    chunks listed here, and callers that publish numbers must surface
+    that (the CLIs exit 3 and persist :meth:`to_json`).
+    """
 
     total: int
     executed: int
@@ -113,17 +119,34 @@ class ExecutionReport:
     def quarantined_ids(self) -> tuple[str, ...]:
         return tuple(failure.task_id for failure in self.quarantined)
 
+    def summary(self) -> str:
+        """One line fit for a terminal diagnosis."""
+        if not self.degraded:
+            return (
+                f"clean: {self.total} chunks ({self.resumed} resumed, "
+                f"{len(self.retried)} retried, {self.pool_rebuilds} pool rebuilds)"
+            )
+        return (
+            f"degraded: {len(self.quarantined)}/{self.total} chunks quarantined "
+            f"({', '.join(self.quarantined_ids)}) after {self.pool_rebuilds} pool "
+            "rebuilds; counts cover surviving chunks only"
+        )
 
-def merge_reports(first: ExecutionReport, second: ExecutionReport) -> ExecutionReport:
-    """Combine two runs' reports (the sweep runs hosts then pairs)."""
-    return ExecutionReport(
-        total=first.total + second.total,
-        executed=first.executed + second.executed,
-        resumed=first.resumed + second.resumed,
-        retried=first.retried + second.retried,
-        quarantined=first.quarantined + second.quarantined,
-        pool_rebuilds=first.pool_rebuilds + second.pool_rebuilds,
-    )
+    def to_json(self) -> dict[str, Any]:
+        """A JSON-serializable dump for the persisted failure report."""
+        return {
+            "degraded": self.degraded,
+            "quarantined_chunks": list(self.quarantined_ids),
+            "failures": [
+                {"task_id": f.task_id, "attempts": f.attempts, "error": f.error}
+                for f in self.quarantined
+            ],
+            "retried_chunks": list(self.retried),
+            "resumed_chunks": self.resumed,
+            "executed_chunks": self.executed,
+            "total_chunks": self.total,
+            "pool_rebuilds": self.pool_rebuilds,
+        }
 
 
 class _RunState:

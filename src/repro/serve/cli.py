@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import threading
 import time
@@ -73,14 +74,12 @@ def build_world(seed: int, cache_dir: str | None):
     from repro.psl.packed import PackedHistory
     from repro.webgraph.synthesis import SnapshotConfig
 
-    artifacts = ArtifactStore(cache_dir)
     pipeline = Pipeline(
         world_stages(seed, SnapshotConfig(seed=seed), SweepSettings()),
-        store=artifacts,
+        store=ArtifactStore(cache_dir),
     )
     store = pipeline.build("history")
-    pipeline.build("packed")  # ensure the raw artifact exists on disk
-    path = artifacts.payload_path("packed", pipeline.fingerprint_of("packed"))
+    path = pipeline.payload_path("packed")
     # No verified payload file (e.g. a memory-only store): the registry packs.
     return store, PackedHistory.load(path) if path is not None else None
 
@@ -532,8 +531,19 @@ def main(argv: list[str] | None = None) -> int:
             f"polling every {args.poll_interval:.1f}s (state: {status.state.value})"
         )
         server.watcher.start()
-    print(f"listening on {server.url}  (Ctrl-C to stop; SIGTERM drains)")
-    drained = serve_forever(server, drain_deadline=args.drain_deadline)
+    # Catch SIGTERM/SIGINT before announcing the address: a stop sent
+    # as soon as "listening on" appears must drain, not kill.
+    # serve_forever() installs its own handlers over these, sharing the
+    # same event.
+    stop = threading.Event()
+
+    def request_stop(signum: int, frame: object) -> None:  # pragma: no cover - signal path
+        stop.set()
+
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, request_stop)
+    print(f"listening on {server.url}  (Ctrl-C to stop; SIGTERM drains)", flush=True)
+    drained = serve_forever(server, drain_deadline=args.drain_deadline, stop_event=stop)
     print("drained cleanly" if drained else "drain deadline elapsed with requests in flight")
     return 0
 

@@ -199,6 +199,7 @@ class SnapshotRegistry:
         self._generation = 0
         with self._lock:
             self._active = self._materialize_locked(self.resolve(active))
+            self._evict_locked()
 
     # -- reading (lock-free for the hot path) --------------------------------
 
@@ -295,7 +296,12 @@ class SnapshotRegistry:
         return PackedHistory.from_buffer(pack_rules(self._store.rules_at(index)))
 
     def _materialize_locked(self, index: int) -> PslSnapshot:
-        """Build (or fetch resident) snapshot; caller holds the lock."""
+        """Build (or fetch resident) snapshot; caller holds the lock.
+
+        Does not evict: the caller evicts once the snapshot it wants
+        kept is published, so a full LRU never drops the version it is
+        about to activate.
+        """
         cached = self._resident.get(index)
         if cached is not None:
             self._resident.move_to_end(index)
@@ -305,11 +311,10 @@ class SnapshotRegistry:
         history = self._packed if index < len(self._packed) else self._pack_locked(index)
         snapshot = self._snapshot(self._store.version(index), history)
         self._resident[index] = snapshot
-        self._evict_locked()
         return snapshot
 
     def _evict_locked(self) -> None:
-        active_index = self._active.index if hasattr(self, "_active") else None
+        active_index = self._active.index
         while len(self._resident) > self._resident_capacity:
             for index in self._resident:
                 if index != active_index:
@@ -329,7 +334,9 @@ class SnapshotRegistry:
         if active.index == index:
             return active
         with self._lock:
-            return self._materialize_locked(index)
+            snapshot = self._materialize_locked(index)
+            self._evict_locked()
+            return snapshot
 
     def activate(self, spec: object) -> PslSnapshot:
         """Hot-swap the active snapshot to ``spec``, atomically.

@@ -1,32 +1,15 @@
-"""Parallel delta-driven version sweeps (Figures 5-7 at scale).
+"""The Figures 5-7 version sweep (one snapshot under every list version).
 
 Public API:
 
 * :class:`~repro.sweep.engine.SweepEngine` — sweep a hostname/request
   universe across a whole :class:`~repro.history.store.VersionStore`,
-  serially or over a process pool;
+  serially or over a process pool, on the version-sweep kernel shared
+  with :mod:`repro.classify`;
 * :class:`~repro.sweep.engine.SweepSeries` — the per-version series it
-  returns;
-* the chunking helpers in :mod:`repro.sweep.chunks` for callers that
-  manage their own pools.
+  returns.
 """
 
-from repro.sweep.chunks import HostChunk, PairChunk, chunk_hosts, chunk_pairs, prepare_hosts
-from repro.sweep.engine import (
-    DEFAULT_CHUNK_SIZE,
-    SweepEngine,
-    SweepFailureReport,
-    SweepSeries,
-)
+from repro.sweep.engine import DEFAULT_CHUNK_SIZE, SweepEngine, SweepSeries
 
-__all__ = [
-    "DEFAULT_CHUNK_SIZE",
-    "HostChunk",
-    "PairChunk",
-    "SweepEngine",
-    "SweepFailureReport",
-    "SweepSeries",
-    "chunk_hosts",
-    "chunk_pairs",
-    "prepare_hosts",
-]
+__all__ = ["DEFAULT_CHUNK_SIZE", "SweepEngine", "SweepSeries"]

@@ -1,130 +1,42 @@
-"""The parallel, delta-driven version-sweep engine.
+"""The Figures 5-7 version sweep, as a front over the one kernel.
 
 The paper's headline figures interpret one web snapshot under every
 version of the Public Suffix List — at the paper's scale ~498M
-requests x 1,142 lists.  Rebuilding a trie and re-grouping the full
-universe per version costs |universe| x |versions| lookups; this
-engine makes the sweep cost
+requests x 1,142 lists.  :class:`SweepEngine` answers all three
+per-version series (sites, third-party requests, divergence from a
+baseline version) in one pass of the version-sweep kernel that also
+drives ``psl-classify`` (:mod:`repro.classify.partials`):
 
-    O(universe)  +  O(sum of hostnames each delta touches)
+* the universe is columnarized into a handful of weighted chunks
+  (:func:`repro.classify.columnar.universe_chunks`): each distinct
+  hostname counts once, in exactly one chunk;
+* each chunk walks every host once under version 0, then replays the
+  store's deltas on one live trie, re-walking only hosts under the
+  rule prefixes a delta touched;
+* execution, checkpoint/resume, spill validation, the merge and the
+  failure report are :class:`repro.classify.engine.ClassifyEngine`'s.
 
-and splits both terms across a worker pool:
-
-* **one trie per worker, never rebuilt** — each worker replays the
-  delta chain in place (:meth:`SuffixTrie.apply_delta`) over its chunk
-  of the universe;
-* **fixed-size chunks, pre-split labels** — the parent splits and
-  interns every hostname's labels once (:mod:`repro.sweep.chunks`) and
-  fans chunks out over ``ProcessPoolExecutor``;
-* **counter merges** — workers return per-version partial counters and
-  deltas (:mod:`repro.sweep.workers`) that merge by commutative
-  addition, so serial and parallel runs are bit-identical.
-
-``workers=1`` is the serial fallback: the same chunk tasks run inline
-through the same merge, which is what the property tests cross-check
-against :func:`~repro.webgraph.sites.group_sites` and
-:class:`~repro.webgraph.sites.IncrementalGrouper`.
-
-Chunk execution runs on :mod:`repro.runtime` — the resilient layer
-that retries crashed workers, rebuilds a broken pool, quarantines
-poisoned chunks after a final serial attempt, and (given
-``checkpoint_dir``) spills each completed partial so a killed sweep
-resumes from the last completed chunk.  A fault-free run remains
-bit-identical to ``workers=1``; a degraded run excludes exactly the
-chunks enumerated in its :class:`SweepFailureReport`.
+``workers=1`` runs every chunk inline; any worker count and any chunk
+size give bit-identical series.  A degraded run (quarantined chunks)
+excludes exactly the chunks its report enumerates.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
-from repro.fingerprint import fingerprint
+from repro.classify.columnar import universe_chunks
+from repro.classify.engine import ClassifyEngine
 from repro.history.store import VersionStore
-from repro.runtime import (
-    CheckpointStore,
-    ExecutionReport,
-    FaultPlan,
-    ResilientExecutor,
-    RetryPolicy,
-    TaskFailure,
-    merge_reports,
-)
-from repro.sweep.chunks import chunk_hosts, chunk_pairs, prepare_hosts
-from repro.sweep.workers import (
-    HostPartial,
-    HostTask,
-    PairPartial,
-    PairTask,
-    is_valid_host_partial,
-    is_valid_pair_partial,
-    run_host_chunk,
-    run_pair_chunk,
-)
+from repro.runtime import ExecutionReport, FaultPlan, RetryPolicy
 
-DEFAULT_CHUNK_SIZE = 4096
-
-_Task = TypeVar("_Task")
-_Partial = TypeVar("_Partial")
-
-
-@dataclass(frozen=True, slots=True)
-class SweepFailureReport:
-    """What a sweep survived: quarantines, retries, resume accounting.
-
-    ``degraded`` sweeps produced a series, but one computed over a
-    universe missing the quarantined chunks listed here — callers that
-    publish numbers must surface that (the CLI exits nonzero with this
-    report's :meth:`summary`).
-    """
-
-    quarantined_chunks: tuple[str, ...]
-    failures: tuple[TaskFailure, ...]
-    retried_chunks: tuple[str, ...]
-    resumed_chunks: int
-    executed_chunks: int
-    total_chunks: int
-    pool_rebuilds: int
-    quarantined_hostnames: int
-    quarantined_pairs: int
-
-    @property
-    def degraded(self) -> bool:
-        return bool(self.quarantined_chunks)
-
-    def summary(self) -> str:
-        """One line fit for a terminal diagnosis."""
-        if not self.degraded:
-            return (
-                f"sweep clean: {self.total_chunks} chunks "
-                f"({self.resumed_chunks} resumed, {len(self.retried_chunks)} retried, "
-                f"{self.pool_rebuilds} pool rebuilds)"
-            )
-        return (
-            f"sweep degraded: quarantined {', '.join(self.quarantined_chunks)} "
-            f"({self.quarantined_hostnames} hostnames, {self.quarantined_pairs} "
-            f"request pairs excluded) after {self.pool_rebuilds} pool rebuilds"
-        )
-
-    def to_json(self) -> dict[str, Any]:
-        """A JSON-serializable dump for the persisted failure report."""
-        return {
-            "degraded": self.degraded,
-            "quarantined_chunks": list(self.quarantined_chunks),
-            "failures": [
-                {"task_id": f.task_id, "attempts": f.attempts, "error": f.error}
-                for f in self.failures
-            ],
-            "retried_chunks": list(self.retried_chunks),
-            "resumed_chunks": self.resumed_chunks,
-            "executed_chunks": self.executed_chunks,
-            "total_chunks": self.total_chunks,
-            "pool_rebuilds": self.pool_rebuilds,
-            "quarantined_hostnames": self.quarantined_hostnames,
-            "quarantined_pairs": self.quarantined_pairs,
-        }
+#: Hostnames per chunk.  Every chunk pays one trie build plus a replay
+#: of the whole delta chain, so fewer, larger chunks win: the figures
+#: world (~300k hostnames) runs as 5 chunks.
+DEFAULT_CHUNK_SIZE = 65536
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,8 +44,9 @@ class SweepSeries:
     """Per-version series over one history, index-aligned with
     ``store.versions``.
 
-    Series not requested from :meth:`SweepEngine.sweep` are all-zero
-    tuples of the right length, so consumers can index them blindly.
+    ``hostname_count`` and ``request_count`` are the distinct hostnames
+    and the request pairs the series cover — the whole universe unless
+    the run was degraded.
     """
 
     site_counts: tuple[int, ...]
@@ -155,20 +68,18 @@ class SweepEngine:
     store:
         The version history to replay.
     workers:
-        Process count; ``1`` (the default) runs every chunk inline —
-        same code path, no pool.
+        Process count; ``1`` (the default) runs every chunk inline.
     chunk_size:
-        Hostnames (or request pairs) per worker task; ``None`` picks
+        Distinct hostnames per chunk; ``None`` picks
         :data:`DEFAULT_CHUNK_SIZE`, shrunk so a parallel run has at
         least ``4 x workers`` chunks to balance.
-    resilience:
-        The :class:`~repro.runtime.RetryPolicy` handed to the task
-        runtime; ``None`` bypasses the runtime entirely (raw pool, the
-        pre-resilience behaviour — the overhead benchmark's baseline).
+    policy:
+        The :class:`~repro.runtime.RetryPolicy` for the task runtime.
     checkpoint_dir:
-        Spill directory for chunk-granular checkpoints; a killed sweep
+        Run directory for chunk checkpoints and spills; a killed sweep
         re-run with the same directory resumes from the last completed
-        chunk.  ``resume=False`` clears any prior spills first.
+        chunk.  ``resume=False`` clears any prior checkpoints first.
+        Without it, the spills live in a temporary directory.
     fault_plan:
         Deterministic fault injection (tests only).
     """
@@ -179,7 +90,7 @@ class SweepEngine:
         *,
         workers: int = 1,
         chunk_size: int | None = None,
-        resilience: RetryPolicy | None = RetryPolicy(),
+        policy: RetryPolicy | None = None,
         checkpoint_dir: str | None = None,
         resume: bool = True,
         fault_plan: FaultPlan | None = None,
@@ -190,34 +101,21 @@ class SweepEngine:
             raise ValueError("workers must be positive")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be positive")
-        if resilience is None and (checkpoint_dir is not None or fault_plan is not None):
-            raise ValueError("checkpointing and fault injection require the runtime layer")
         self._store = store
         self._workers = workers
         self._chunk_size = chunk_size
-        self._resilience = resilience
+        self._policy = policy
         self._checkpoint_dir = checkpoint_dir
         self._resume = resume
         self._fault_plan = fault_plan
-        self._last_failure_report: SweepFailureReport | None = None
-        self._initial_rules = store.rules_at(0)
-        self._deltas = tuple(version.delta for version in store.versions[1:])
+        self._last_report: ExecutionReport | None = None
 
     @property
-    def workers(self) -> int:
-        return self._workers
-
-    @property
-    def last_failure_report(self) -> SweepFailureReport | None:
-        """The resilience outcome of the most recent :meth:`sweep`
-        (None before any sweep, or when the runtime is bypassed)."""
-        return self._last_failure_report
-
-    @property
-    def version_count(self) -> int:
-        return len(self._deltas) + 1
-
-    # -- fan-out machinery ---------------------------------------------------
+    def last_report(self) -> ExecutionReport | None:
+        """The runtime report of the most recent :meth:`sweep` (None
+        before any): retries, resumes, and the quarantined chunks of a
+        degraded run."""
+        return self._last_report
 
     def _effective_chunk_size(self, universe_size: int) -> int:
         if self._chunk_size is not None:
@@ -228,253 +126,56 @@ class SweepEngine:
             size = max(1, min(size, balanced))
         return size
 
-    def _run_tasks_raw(
-        self, function: Callable[[_Task], _Partial], tasks: Sequence[_Task]
-    ) -> list[_Partial]:
-        """The bypass path (``resilience=None``): a bare pool, no retry
-        machinery — kept as the overhead benchmark's baseline.
-
-        The serial fallback is *the same* task list through the same
-        function — parallelism changes only where the work executes.
-        An empty task list short-circuits before pool construction
-        (``max_workers=0`` would raise).
-        """
-        if not tasks:
-            return []
-        if self._workers == 1 or len(tasks) <= 1:
-            return [function(task) for task in tasks]
-        with ProcessPoolExecutor(max_workers=min(self._workers, len(tasks))) as pool:
-            futures = [pool.submit(function, task) for task in tasks]
-            return [future.result() for future in futures]
-
-    def _sweep_fingerprint(
-        self,
-        prepared: Sequence[tuple[str, tuple[str, ...]]],
-        pairs: Sequence[tuple[str, str]],
-        host_chunk: int,
-        pair_chunk: int,
-        sites: bool,
-        divergence: bool,
-        baseline_index: int,
-        universe_fingerprint: str | None,
-    ) -> str:
-        """Identity of one sweep's inputs and chunking.
-
-        Checkpoints are only reusable when replaying them is guaranteed
-        bit-identical, so the material covers the history tip, the
-        universes, the chunk boundaries, and the series flags — keyed
-        through the canonical :func:`repro.fingerprint.fingerprint`
-        scheme shared with the pipeline's artifact store.  When the
-        caller already fingerprinted the universes (the sweep *stage*
-        of :mod:`repro.analysis.pipeline` passes its own artifact
-        fingerprint), that digest substitutes for hashing the universe
-        content again — one keying scheme, not two.
-        """
-        material: dict[str, Any] = {
-            "scheme": "sweep-v2",
-            "versions": self.version_count,
-            "tip": self._store.latest.set_digest,
-            "host_chunk": host_chunk,
-            "pair_chunk": pair_chunk,
-            "sites": sites,
-            "divergence": divergence,
-            "baseline": baseline_index,
-        }
-        if universe_fingerprint is not None:
-            material["universe"] = universe_fingerprint
-        else:
-            material["hostnames"] = [host for host, _labels in prepared]
-            material["pairs"] = [list(pair) for pair in pairs]
-        return fingerprint(material)
-
-    def _run_resilient(
-        self,
-        host_tasks: Sequence[HostTask],
-        pair_tasks: Sequence[PairTask],
-        fingerprint: str,
-    ) -> tuple[list[HostPartial | None], list[PairPartial | None], ExecutionReport]:
-        """Run both task families on the resilient runtime."""
-        checkpoint = None
-        if self._checkpoint_dir is not None:
-            checkpoint = CheckpointStore(self._checkpoint_dir)
-            checkpoint.reconcile(fingerprint, resume=self._resume)
-        executor = ResilientExecutor(
-            workers=self._workers,
-            policy=self._resilience,
-            checkpoint=checkpoint,
-            fault_plan=self._fault_plan,
-        )
-        delta_count = len(self._deltas)
-        host_partials, host_report = executor.run(
-            run_host_chunk,
-            host_tasks,
-            task_ids=[task.chunk.task_id for task in host_tasks],
-            validate=lambda partial: is_valid_host_partial(partial, delta_count),
-        )
-        pair_partials, pair_report = executor.run(
-            run_pair_chunk,
-            pair_tasks,
-            task_ids=[task.chunk.task_id for task in pair_tasks],
-            validate=lambda partial: is_valid_pair_partial(partial, self.version_count),
-        )
-        return host_partials, pair_partials, merge_reports(host_report, pair_report)
-
-    def _failure_report(
-        self,
-        report: ExecutionReport,
-        host_tasks: Sequence[HostTask],
-        pair_tasks: Sequence[PairTask],
-    ) -> SweepFailureReport:
-        sizes = {task.chunk.task_id: len(task.chunk) for task in host_tasks}
-        pair_sizes = {task.chunk.task_id: len(task.chunk) for task in pair_tasks}
-        quarantined = report.quarantined_ids
-        return SweepFailureReport(
-            quarantined_chunks=quarantined,
-            failures=report.quarantined,
-            retried_chunks=report.retried,
-            resumed_chunks=report.resumed,
-            executed_chunks=report.executed,
-            total_chunks=report.total,
-            pool_rebuilds=report.pool_rebuilds,
-            quarantined_hostnames=sum(sizes.get(task_id, 0) for task_id in quarantined),
-            quarantined_pairs=sum(pair_sizes.get(task_id, 0) for task_id in quarantined),
-        )
-
-    # -- the combined sweep --------------------------------------------------
-
     def sweep(
         self,
         hostnames: Iterable[str] = (),
         pairs: Sequence[tuple[str, str]] = (),
         *,
-        sites: bool = True,
-        divergence: bool = True,
         baseline_index: int = -1,
         universe_fingerprint: str | None = None,
     ) -> SweepSeries:
-        """Evaluate a universe under every version in one fan-out.
+        """Evaluate a universe under every version in one kernel pass.
 
-        ``hostnames`` drives the site and divergence series (Figures 5
+        ``hostnames`` drive the site and divergence series (Figures 5
         and 7), ``pairs`` the third-party series (Figure 6);
         ``baseline_index`` is the version the divergence series
         compares against (default: the newest).
-        ``universe_fingerprint`` optionally identifies the universes by
+        ``universe_fingerprint`` optionally identifies the universe by
         an externally computed digest (the pipeline's sweep-stage
-        fingerprint), sparing the checkpoint manifest a second pass
-        over the content.
+        fingerprint), sparing the checkpoint manifest a pass over the
+        content.
         """
-        prepared = prepare_hosts(hostnames)
-        baseline_rules = (
-            self._store.rules_at(baseline_index) if (divergence and prepared) else None
+        distinct = list(dict.fromkeys(hostnames))
+        chunk_size = self._effective_chunk_size(len(distinct))
+        chunks = universe_chunks(distinct, pairs, chunk_size)
+        identity: dict[str, object] = {"chunk_size": chunk_size}
+        if universe_fingerprint is not None:
+            identity["universe"] = universe_fingerprint
+        elif self._checkpoint_dir is not None:
+            identity["hostnames"] = distinct
+            identity["pairs"] = [list(pair) for pair in pairs]
+        run_dir = (
+            nullcontext(self._checkpoint_dir)
+            if self._checkpoint_dir is not None
+            else tempfile.TemporaryDirectory(prefix="psl-sweep-")
         )
-
-        host_chunk_size = self._effective_chunk_size(len(prepared))
-        pair_chunk_size = self._effective_chunk_size(len(pairs))
-        host_tasks = [
-            HostTask(
-                chunk=chunk,
-                initial_rules=self._initial_rules,
-                deltas=self._deltas,
-                baseline_rules=baseline_rules,
-                track_sites=sites,
-            )
-            for chunk in chunk_hosts(prepared, host_chunk_size)
-        ]
-        pair_tasks = [
-            PairTask(chunk=chunk, initial_rules=self._initial_rules, deltas=self._deltas)
-            for chunk in chunk_pairs(pairs, pair_chunk_size)
-        ]
-
-        if self._resilience is None:
-            host_partials = self._run_tasks_raw(run_host_chunk, host_tasks)
-            pair_partials = self._run_tasks_raw(run_pair_chunk, pair_tasks)
-            self._last_failure_report = None
-        else:
-            manifest_key = ""
-            if self._checkpoint_dir is not None:
-                manifest_key = self._sweep_fingerprint(
-                    prepared, pairs, host_chunk_size, pair_chunk_size,
-                    sites, divergence, baseline_index, universe_fingerprint,
-                )
-            maybe_hosts, maybe_pairs, report = self._run_resilient(
-                host_tasks, pair_tasks, manifest_key
-            )
-            # Quarantined chunks leave None slots; the merges fold the
-            # survivors in original chunk order, so a clean run stays
-            # bit-identical to the serial path.
-            host_partials = [partial for partial in maybe_hosts if partial is not None]
-            pair_partials = [partial for partial in maybe_pairs if partial is not None]
-            self._last_failure_report = self._failure_report(report, host_tasks, pair_tasks)
-
+        with run_dir as directory:
+            result = ClassifyEngine(
+                self._store,
+                version_indexes=range(len(self._store)),
+                baseline=baseline_index,
+                workers=self._workers,
+                run_dir=directory,
+                resume=self._resume,
+                policy=self._policy,
+                fault_plan=self._fault_plan,
+            ).run_chunks(chunks, identity)
+        self._last_report = result.report
+        rows = result.rows
         return SweepSeries(
-            site_counts=self._merge_sites(host_partials) if sites else self._zeros(),
-            third_party=self._merge_third_party(pair_partials),
-            divergence=(
-                self._merge_divergence(host_partials)
-                if baseline_rules is not None
-                else self._zeros()
-            ),
-            hostname_count=len(prepared),
-            request_count=len(pairs),
+            site_counts=tuple(row.sites.sites for row in rows),
+            third_party=tuple(row.third_party.third_party for row in rows),
+            divergence=tuple(row.misclassified_hostnames for row in rows),
+            hostname_count=rows[0].sites.hostnames,
+            request_count=rows[0].third_party.total,
         )
-
-    # -- merges ---------------------------------------------------------------
-
-    def _zeros(self) -> tuple[int, ...]:
-        return (0,) * self.version_count
-
-    def _merge_sites(self, partials: list[HostPartial]) -> tuple[int, ...]:
-        """Fold per-chunk site counters into the global distinct count.
-
-        A site can span chunks (``a.foo.com`` and ``b.foo.com`` may
-        land in different workers), so distinctness is only decidable
-        after summation — this is the one merge that has to keep a
-        live counter across versions.
-        """
-        counter: Counter[str] = Counter()
-        for partial in partials:
-            counter.update(partial.initial_sites)
-        series = [len(counter)]
-        for version in range(len(self._deltas)):
-            for partial in partials:
-                for site, change in partial.site_deltas[version].items():
-                    updated = counter[site] + change
-                    if updated:
-                        counter[site] = updated
-                    else:
-                        del counter[site]
-            series.append(len(counter))
-        return tuple(series)
-
-    def _merge_divergence(self, partials: list[HostPartial]) -> tuple[int, ...]:
-        divergent = sum(partial.initial_divergent for partial in partials)
-        series = [divergent]
-        for version in range(len(self._deltas)):
-            divergent += sum(partial.divergence_deltas[version] for partial in partials)
-            series.append(divergent)
-        return tuple(series)
-
-    def _merge_third_party(self, partials: list[PairPartial]) -> tuple[int, ...]:
-        return tuple(
-            sum(partial.counts[version] for partial in partials)
-            for version in range(self.version_count)
-        )
-
-    # -- the narrow entry points ----------------------------------------------
-
-    def sweep_sites(self, hostnames: Iterable[str]) -> tuple[int, ...]:
-        """Figure 5's series: distinct sites under each version."""
-        return self.sweep(hostnames, (), sites=True, divergence=False).site_counts
-
-    def sweep_third_party(self, pairs: Sequence[tuple[str, str]]) -> tuple[int, ...]:
-        """Figure 6's series: third-party requests under each version."""
-        return self.sweep((), pairs).third_party
-
-    def sweep_divergence(
-        self, hostnames: Iterable[str], *, baseline_index: int = -1
-    ) -> tuple[int, ...]:
-        """Figure 7's series: hostnames whose site differs from their
-        site under the baseline version."""
-        return self.sweep(
-            hostnames, (), sites=False, divergence=True, baseline_index=baseline_index
-        ).divergence

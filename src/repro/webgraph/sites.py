@@ -2,30 +2,23 @@
 
 The paper's methodology (Section 5): determine each unique hostname's
 suffix under a given PSL version and group hostnames into sites
-(eTLD+1).  Two implementations:
-
-* :func:`group_sites` — the straightforward one-shot grouping used for
-  a single list version;
-* :class:`IncrementalGrouper` — maintains the grouping *across* list
-  versions by re-examining only hostnames under rules a delta touched.
-  This is what makes sweeping all 1,142 versions tractable: a typical
-  delta touches a handful of rules covering a tiny fraction of the
-  hostname universe.
-
-Both share one site function so the incremental path is exactly as
-correct as the one-shot path (the property tests cross-check them).
+(eTLD+1).  :func:`group_sites` is the one-shot grouping for a single
+list version — the oracle the version-sweep kernel
+(:mod:`repro.classify.partials`), which maintains the grouping across
+versions by re-walking only hostnames under rules a delta touched, is
+cross-checked against.  Both share one site function,
+:func:`site_for_reversed`, so the incremental path is exactly as
+correct as the one-shot path.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from sys import intern
 from typing import Iterable, Mapping, Sequence
 
-from repro.psl.diff import RuleDelta
 from repro.psl.list import PublicSuffixList
-from repro.psl.rules import Rule, RuleKind
+from repro.psl.rules import RuleKind
 from repro.psl.trie import SuffixTrie
 
 
@@ -66,8 +59,7 @@ def reversed_labels_of(hostname: str) -> tuple[str, ...]:
     """A hostname's labels, reversed and interned.
 
     Interning matches :meth:`SuffixTrie.insert`, so trie-child probes
-    during lookups compare pointer-equal keys.  The sweep engine ships
-    these tuples to its workers instead of raw hostnames.
+    during lookups compare pointer-equal keys.
     """
     labels = hostname.split(".")
     labels.reverse()
@@ -103,118 +95,3 @@ class SiteMetrics:
 def site_metrics(assignment: Mapping[str, str]) -> SiteMetrics:
     """Metrics of a hostname->site assignment."""
     return SiteMetrics(site_count=len(set(assignment.values())), hostname_count=len(assignment))
-
-
-def _rule_base(rule: Rule) -> str:
-    """The dotted name under which a rule can affect hostnames.
-
-    A normal or exception rule affects hostnames at or below its own
-    name; a wildcard rule affects hostnames below the name without the
-    ``*`` label.
-    """
-    if rule.kind is RuleKind.WILDCARD:
-        return ".".join(reversed(rule.labels[:-1]))
-    return rule.name
-
-
-class IncrementalGrouper:
-    """Maintains hostname->site across PSL deltas.
-
-    Construction cost is one full grouping plus a hostname-suffix
-    index; each :meth:`apply` then costs proportional to the hostnames
-    that could plausibly be affected by the delta, not the universe.
-    """
-
-    def __init__(
-        self,
-        rules: Iterable[Rule],
-        hostnames: Iterable[str],
-        *,
-        prepared: Mapping[str, tuple[str, ...]] | None = None,
-    ) -> None:
-        self._trie = SuffixTrie(rules)
-        # Reversed, interned label tuples — the representation every
-        # lookup wants.  ``prepared`` lets the sweep engine hand over
-        # tuples it already split once for the whole universe.
-        self._rlabels: dict[str, tuple[str, ...]] = (
-            dict(prepared)
-            if prepared is not None
-            else {host: reversed_labels_of(host) for host in hostnames}
-        )
-        # Index: dotted suffix -> hostnames having that suffix.  A rule
-        # change at base B re-examines exactly index[B].
-        self._by_suffix: dict[str, list[str]] = {}
-        for host, rlabels in self._rlabels.items():
-            name = rlabels[0]
-            self._by_suffix.setdefault(name, []).append(host)
-            for label in rlabels[1:]:
-                name = f"{label}.{name}"
-                self._by_suffix.setdefault(name, []).append(host)
-        self._assignment: dict[str, str] = {
-            host: site_for_reversed(self._trie, rlabels)
-            for host, rlabels in self._rlabels.items()
-        }
-        self._site_sizes: Counter[str] = Counter(self._assignment.values())
-
-    @property
-    def assignment(self) -> Mapping[str, str]:
-        """The live hostname->site mapping (do not mutate)."""
-        return self._assignment
-
-    @property
-    def site_count(self) -> int:
-        """Number of distinct sites right now."""
-        return len(self._site_sizes)
-
-    @property
-    def hostname_count(self) -> int:
-        """Number of hostnames being tracked."""
-        return len(self._assignment)
-
-    @property
-    def site_sizes(self) -> Mapping[str, int]:
-        """Live site -> hostname-count mapping (do not mutate).
-
-        The sweep engine's workers snapshot this as their per-chunk
-        partial counter at version zero.
-        """
-        return self._site_sizes
-
-    def metrics(self) -> SiteMetrics:
-        """Current :class:`SiteMetrics`."""
-        return SiteMetrics(site_count=self.site_count, hostname_count=self.hostname_count)
-
-    def site_of(self, hostname: str) -> str:
-        """Current site of a tracked hostname."""
-        return self._assignment[hostname]
-
-    def apply(self, delta: RuleDelta) -> list[str]:
-        """Apply a version delta; returns hostnames whose site changed."""
-        return [host for host, _, _ in self.apply_detailed(delta)]
-
-    def apply_detailed(self, delta: RuleDelta) -> list[tuple[str, str, str]]:
-        """Apply a delta; returns ``(hostname, old site, new site)`` rows.
-
-        The detailed form is what the sweep engine's merge step needs:
-        old/new pairs convert directly into counter increments without
-        another round of lookups.
-        """
-        self._trie.apply_delta(delta)
-
-        candidates: set[str] = set()
-        for rule in delta.added | delta.removed:
-            candidates.update(self._by_suffix.get(_rule_base(rule), ()))
-
-        changed: list[tuple[str, str, str]] = []
-        for host in candidates:
-            new_site = site_for_reversed(self._trie, self._rlabels[host])
-            old_site = self._assignment[host]
-            if new_site == old_site:
-                continue
-            self._assignment[host] = new_site
-            self._site_sizes[old_site] -= 1
-            if self._site_sizes[old_site] == 0:
-                del self._site_sizes[old_site]
-            self._site_sizes[new_site] += 1
-            changed.append((host, old_site, new_site))
-        return changed

@@ -17,6 +17,53 @@ TEST_SEED = 20230701
 
 
 @pytest.fixture(scope="session")
+def kernel_replay(tmp_path_factory):
+    """Run the version-sweep kernel over a rule chain, one chunk
+    holding every hostname (weight 1 each).
+
+    ``replay(initial_rules, deltas, hostnames, pairs=())`` returns
+    ``(partial, counters)``: the chunk's per-version columns
+    (:class:`~repro.classify.partials.ChunkPartial`; the divergence
+    baseline is the last version) and each version's
+    ``site -> hostname count`` mapping rebuilt from the spill.
+    """
+    from collections import Counter
+
+    from repro.classify.columnar import universe_chunks
+    from repro.classify.partials import ClassifyTask, RuleChain, SpillReader, classify_chunk
+
+    spill_root = tmp_path_factory.mktemp("kernel-replay")
+    runs = iter(range(1 << 30))
+
+    def replay(initial_rules, deltas, hostnames, pairs=()):
+        hostnames = list(hostnames)
+        deltas = tuple(deltas)
+        final = set(initial_rules)
+        for delta in deltas:
+            final = (final - delta.removed) | delta.added
+        (chunk,) = universe_chunks(hostnames, list(pairs), max(1, len(hostnames)))
+        partial = classify_chunk(
+            ClassifyTask(
+                ref=chunk,
+                source=RuleChain(frozenset(initial_rules), deltas, frozenset(final)),
+                version_indexes=tuple(range(len(deltas) + 1)),
+                baseline_index=len(deltas),
+                spill_dir=str(spill_root / str(next(runs))),
+            )
+        )
+        counters = []
+        current: Counter = Counter()
+        with SpillReader(partial.spill.path) as reader:
+            for slot in range(reader.versions):
+                current.update(reader.read(slot))
+                current = +current
+                counters.append(dict(current))
+        return partial, counters
+
+    return replay
+
+
+@pytest.fixture(scope="session")
 def world() -> ExperimentContext:
     """The full calibrated world with a slimmed background web.
 

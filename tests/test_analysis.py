@@ -152,18 +152,15 @@ class TestCli:
         """A quarantined-chunk sweep must not print tables and exit 0."""
         from repro.analysis import cli
         from repro.analysis.boundaries import SweepResult
-        from repro.sweep import SweepFailureReport
+        from repro.runtime import ExecutionReport, TaskFailure
 
-        report_obj = SweepFailureReport(
-            quarantined_chunks=("host-7",),
-            failures=(),
-            retried_chunks=(),
-            resumed_chunks=0,
-            executed_chunks=8,
-            total_chunks=8,
+        report_obj = ExecutionReport(
+            total=8,
+            executed=8,
+            resumed=0,
+            retried=(),
+            quarantined=(TaskFailure(task_id="classify-7", attempts=3, error="boom"),),
             pool_rebuilds=2,
-            quarantined_hostnames=4096,
-            quarantined_pairs=0,
         )
         degraded = SweepResult(
             points=(), total_hostnames=0, total_requests=0, failure_report=report_obj
@@ -179,6 +176,6 @@ class TestCli:
         assert main(["ext-fake"]) == cli.EXIT_DEGRADED
         captured = capsys.readouterr()
         assert "fake degraded output" in captured.out
-        assert "host-7" in captured.err
+        assert "classify-7" in captured.err
         assert "sweep_failure_report.json" in captured.err
         assert (tmp_path / "sweep_failure_report.json").exists()

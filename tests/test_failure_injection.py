@@ -117,36 +117,36 @@ class TestSweepWorkerFailures:
 
         store, hostnames, pairs = self._world()
         serial = SweepEngine(store).sweep(hostnames, pairs)
-        plan = FaultPlan({"host-2": Fault(FaultKind.CRASH, attempts=2)})
+        plan = FaultPlan({"classify-2": Fault(FaultKind.CRASH, attempts=2)})
         engine = SweepEngine(
             store,
             workers=2,
             chunk_size=8,
             fault_plan=plan,
-            resilience=RetryPolicy(backoff_base=0.0),
+            policy=RetryPolicy(backoff_base=0.0),
         )
         assert engine.sweep(hostnames, pairs) == serial
-        report = engine.last_failure_report
-        assert "host-2" in report.retried_chunks and not report.degraded
+        report = engine.last_report
+        assert "classify-2" in report.retried and not report.degraded
 
     def test_poisoned_chunk_is_enumerated_not_silent(self):
         from repro.runtime import ALWAYS, Fault, FaultKind, FaultPlan, RetryPolicy
         from repro.sweep import SweepEngine
 
         store, hostnames, pairs = self._world()
-        plan = FaultPlan({"host-0": Fault(FaultKind.CRASH, attempts=ALWAYS)})
+        plan = FaultPlan({"classify-0": Fault(FaultKind.CRASH, attempts=ALWAYS)})
         engine = SweepEngine(
             store,
             workers=2,
             chunk_size=8,
             fault_plan=plan,
-            resilience=RetryPolicy(backoff_base=0.0),
+            policy=RetryPolicy(backoff_base=0.0),
         )
-        engine.sweep(hostnames, pairs)
-        report = engine.last_failure_report
+        series = engine.sweep(hostnames, pairs)
+        report = engine.last_report
         assert report.degraded
-        assert report.quarantined_chunks == ("host-0",)
-        assert report.quarantined_hostnames == 8
+        assert report.quarantined_ids == ("classify-0",)
+        assert series.hostname_count == len(hostnames) - 8
         assert "degraded" in report.summary()
 
     def test_corrupt_partial_never_reaches_the_merge(self):
@@ -155,15 +155,15 @@ class TestSweepWorkerFailures:
 
         store, hostnames, pairs = self._world()
         serial = SweepEngine(store).sweep(hostnames, pairs)
-        plan = FaultPlan({"pair-0": Fault(FaultKind.CORRUPT, attempts=1)})
+        plan = FaultPlan({"classify-0": Fault(FaultKind.CORRUPT, attempts=1)})
         engine = SweepEngine(
             store,
             chunk_size=16,
             fault_plan=plan,
-            resilience=RetryPolicy(backoff_base=0.0),
+            policy=RetryPolicy(backoff_base=0.0),
         )
         assert engine.sweep(hostnames, pairs) == serial
-        assert engine.last_failure_report.retried_chunks == ("pair-0",)
+        assert engine.last_report.retried == ("classify-0",)
 
 
 class TestWrongListVariant:

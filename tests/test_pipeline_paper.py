@@ -15,7 +15,7 @@ from repro.analysis.boundaries import SweepResult
 from repro.analysis.context import SweepSettings, get_context, world_stages
 from repro.analysis.pipeline import TERMINALS, paper_pipeline
 from repro.pipeline import ArtifactStore, Pipeline, Stage, memory_store
-from repro.sweep import SweepFailureReport
+from repro.runtime import ExecutionReport, TaskFailure
 from repro.webgraph.synthesis import SnapshotConfig
 
 SEED = 20230701
@@ -159,16 +159,13 @@ class TestCrossProcess:
 
 class TestDegradedSweep:
     def _degraded(self) -> SweepResult:
-        report = SweepFailureReport(
-            quarantined_chunks=("host-3",),
-            failures=(),
-            retried_chunks=(),
-            resumed_chunks=0,
-            executed_chunks=4,
-            total_chunks=4,
+        report = ExecutionReport(
+            total=4,
+            executed=4,
+            resumed=0,
+            retried=(),
+            quarantined=(TaskFailure(task_id="classify-3", attempts=3, error="boom"),),
             pool_rebuilds=1,
-            quarantined_hostnames=64,
-            quarantined_pairs=0,
         )
         return SweepResult(
             points=(), total_hostnames=0, total_requests=0, failure_report=report

@@ -13,6 +13,7 @@ These are the load-bearing correctness arguments:
 """
 
 import string
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +24,7 @@ from repro.psl.parser import parse_psl
 from repro.psl.rules import Rule, Section
 from repro.psl.serialize import serialize_psl
 from repro.psl.trie import SuffixTrie, naive_prevailing
-from repro.webgraph.sites import IncrementalGrouper, group_sites
+from repro.webgraph.sites import group_sites
 
 # -- strategies ---------------------------------------------------------------
 
@@ -176,31 +177,34 @@ class TestLookupProperties:
 
 
 class TestIncrementalProperties:
+    """The version-sweep kernel's incremental regrouping (see
+    :mod:`repro.classify.partials`) against one-shot grouping."""
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(hostname_labels().map(".".join), min_size=1, max_size=30, unique=True),
         st.lists(rule_sets, min_size=1, max_size=5),
     )
-    def test_incremental_equals_one_shot(self, hostnames, rule_steps):
-        grouper = IncrementalGrouper([], hostnames)
+    def test_incremental_equals_one_shot(self, kernel_replay, hostnames, rule_steps):
+        deltas = []
         current: set[Rule] = set()
         for step_rules in rule_steps:
             target = set(step_rules)
-            delta = RuleDelta(
-                added=frozenset(target - current),
-                removed=frozenset(current - target),
+            deltas.append(
+                RuleDelta(added=frozenset(target - current), removed=frozenset(current - target))
             )
-            if delta:
-                grouper.apply(delta)
             current = target
+        partial, counters = kernel_replay([], deltas, hostnames)
         expected = group_sites(PublicSuffixList(current), hostnames)
-        assert dict(grouper.assignment) == expected
+        assert counters[-1] == Counter(expected.values())
+        assert partial.misclassified[-1] == 0
 
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(hostname_labels().map(".".join), min_size=1, max_size=20, unique=True),
         rule_sets,
     )
-    def test_site_count_matches_assignment(self, hostnames, rules):
-        grouper = IncrementalGrouper(rules, hostnames)
-        assert grouper.site_count == len(set(grouper.assignment.values()))
+    def test_site_count_matches_assignment(self, kernel_replay, hostnames, rules):
+        _, (initial,) = kernel_replay(rules, (), hostnames)
+        assignment = group_sites(PublicSuffixList(rules), hostnames)
+        assert len(initial) == len(set(assignment.values()))

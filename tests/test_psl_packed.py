@@ -419,6 +419,35 @@ class TestLayoutIndependentDifferential:
         assert packed_shape(packed) == dict_shape(SuffixTrie(rules))
 
 
+class TestRuleKeys:
+    """Rule records as set keys: the classify step plan diffs versions
+    without building a :class:`Rule`, and must equal the Rule diff."""
+
+    @pytest.mark.parametrize("make_store", [make_churn_store, make_edge_store])
+    def test_step_plan_equals_the_rule_based_diff(self, make_store, tmp_path):
+        from repro.classify.partials import _rule_prefix, _version_plan
+
+        store = make_store()
+        path = tmp_path / "history.bin"
+        path.write_bytes(pack_history(store))
+        history = PackedHistory.load(str(path))
+        indexes = tuple(range(len(history)))
+        expected = [None]
+        for before, after in zip(indexes, indexes[1:]):
+            changed = store.rules_at(before) ^ store.rules_at(after)
+            expected.append(frozenset(_rule_prefix(rule.labels) for rule in changed))
+        assert _version_plan(str(path), history, indexes) == expected
+        assert any(expected[1:])
+
+    def test_key_labels_round_trip_the_rules(self):
+        store = make_edge_store()
+        history = PackedHistory.from_buffer(pack_history(store))
+        trie = history.trie(-1)
+        labels = {trie.key_labels(key) for key in trie.rule_keys()}
+        assert labels == {rule.labels for rule in store.rules_at(-1)}
+        assert len(trie.rule_keys()) == len(store.rules_at(-1))
+
+
 class TestIndexValidation:
     def test_out_of_range_indexes_raise(self):
         store = make_churn_store(versions=5)

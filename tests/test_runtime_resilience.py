@@ -317,77 +317,88 @@ class TestAtomicWrite:
 
 
 class TestEngineResilience:
-    def test_fault_free_runtime_identical_to_raw_serial(self):
+    def test_fault_free_runtime_identical_to_raw_serial(self, tmp_path):
+        """The runtime adds nothing to the numbers: the same kernel
+        tasks run by a plain loop and merged give the identical series."""
+        from repro.classify.columnar import universe_chunks
+        from repro.classify.engine import ClassifyEngine
+        from repro.classify.partials import classify_chunk
+
         store, hostnames, pairs = _make_world()
-        raw = SweepEngine(store, resilience=None).sweep(hostnames, pairs)
-        resilient = SweepEngine(store).sweep(hostnames, pairs)
-        assert resilient == raw
+        resilient = SweepEngine(store, chunk_size=8).sweep(hostnames, pairs)
+        engine = ClassifyEngine(
+            store, version_indexes=range(len(store)), run_dir=str(tmp_path)
+        )
+        tasks = engine.tasks(universe_chunks(hostnames, pairs, 8))
+        rows = engine.merge([classify_chunk(task) for task in tasks])
+        assert resilient.site_counts == tuple(row.sites.sites for row in rows)
+        assert resilient.third_party == tuple(row.third_party.third_party for row in rows)
+        assert resilient.divergence == tuple(row.misclassified_hostnames for row in rows)
 
     def test_crashing_worker_sweep_identical_to_serial(self):
         store, hostnames, pairs = _make_world()
         serial = SweepEngine(store).sweep(hostnames, pairs)
         plan = FaultPlan(
             {
-                "host-0": Fault(FaultKind.CRASH, attempts=1),
-                "pair-1": Fault(FaultKind.WORKER_EXIT, attempts=1),
+                "classify-0": Fault(FaultKind.CRASH, attempts=1),
+                "classify-1": Fault(FaultKind.WORKER_EXIT, attempts=1),
             }
         )
-        engine = SweepEngine(
-            store, workers=2, chunk_size=8, fault_plan=plan, resilience=FAST
-        )
+        engine = SweepEngine(store, workers=2, chunk_size=8, fault_plan=plan, policy=FAST)
         assert engine.sweep(hostnames, pairs) == serial
-        report = engine.last_failure_report
+        report = engine.last_report
         assert not report.degraded and report.pool_rebuilds >= 1
 
     def test_poisoned_chunk_is_quarantined_and_enumerated(self):
         store, hostnames, pairs = _make_world()
-        plan = FaultPlan({"host-1": Fault(FaultKind.CRASH, attempts=ALWAYS)})
-        engine = SweepEngine(
-            store, workers=2, chunk_size=8, fault_plan=plan, resilience=FAST
-        )
+        plan = FaultPlan({"classify-1": Fault(FaultKind.CRASH, attempts=ALWAYS)})
+        engine = SweepEngine(store, workers=2, chunk_size=8, fault_plan=plan, policy=FAST)
         degraded = engine.sweep(hostnames, pairs)
-        report = engine.last_failure_report
+        report = engine.last_report
         assert report.degraded
-        assert report.quarantined_chunks == ("host-1",)
-        assert report.quarantined_hostnames == 8
-        assert "host-1" in report.summary()
+        assert report.quarantined_ids == ("classify-1",)
+        assert degraded.hostname_count == len(hostnames) - 8
+        assert "classify-1" in report.summary()
         # The degraded series equals a serial sweep over the universe
-        # minus exactly the quarantined chunk's hostnames.
-        surviving = hostnames[:8] + hostnames[16:]
-        expected = SweepEngine(store).sweep(surviving, pairs)
-        assert degraded.site_counts == expected.site_counts
-        assert degraded.third_party == expected.third_party
+        # minus exactly the quarantined chunk's hostnames and the
+        # requests made from its pages.
+        lost = set(hostnames[8:16])
+        surviving = [host for host in hostnames if host not in lost]
+        expected = SweepEngine(store).sweep(
+            surviving, [pair for pair in pairs if pair[0] not in lost]
+        )
+        assert degraded == expected
 
     def test_quarantine_report_serializes(self):
         store, hostnames, pairs = _make_world()
-        plan = FaultPlan({"pair-0": Fault(FaultKind.CRASH, attempts=ALWAYS)})
-        engine = SweepEngine(store, chunk_size=16, fault_plan=plan, resilience=FAST)
+        plan = FaultPlan({"classify-0": Fault(FaultKind.CRASH, attempts=ALWAYS)})
+        engine = SweepEngine(store, chunk_size=16, fault_plan=plan, policy=FAST)
         engine.sweep(hostnames, pairs)
-        payload = engine.last_failure_report.to_json()
+        payload = engine.last_report.to_json()
         assert payload["degraded"] is True
-        assert payload["quarantined_chunks"] == ["pair-0"]
-        assert payload["failures"][0]["task_id"] == "pair-0"
+        assert payload["quarantined_chunks"] == ["classify-0"]
+        assert payload["failures"][0]["task_id"] == "classify-0"
 
     def test_resume_reexecutes_only_unfinished_chunks(self, tmp_path):
         store, hostnames, pairs = _make_world()
         serial = SweepEngine(store).sweep(hostnames, pairs)
-        poison = FaultPlan({"host-2": Fault(FaultKind.CRASH, attempts=ALWAYS)})
+        poison = FaultPlan({"classify-2": Fault(FaultKind.CRASH, attempts=ALWAYS)})
         first = SweepEngine(
             store,
             chunk_size=8,
             checkpoint_dir=str(tmp_path),
             fault_plan=poison,
-            resilience=FAST,
+            policy=FAST,
         )
         first.sweep(hostnames, pairs)
-        assert first.last_failure_report.degraded
+        assert first.last_report.degraded
 
         resumed_engine = SweepEngine(store, chunk_size=8, checkpoint_dir=str(tmp_path))
         resumed = resumed_engine.sweep(hostnames, pairs)
-        report = resumed_engine.last_failure_report
+        report = resumed_engine.last_report
         assert resumed == serial
-        assert report.executed_chunks == 1  # only the formerly-poisoned chunk
-        assert report.resumed_chunks == report.total_chunks - 1
+        assert report.executed == 1  # only the formerly-poisoned chunk
+        assert report.resumed == report.total - 1
 
     def test_checkpoints_from_another_sweep_shape_are_not_reused(self, tmp_path):
         store, hostnames, pairs = _make_world()
@@ -395,14 +406,7 @@ class TestEngineResilience:
         engine.sweep(hostnames, pairs)
         other = SweepEngine(store, chunk_size=16, checkpoint_dir=str(tmp_path))
         other.sweep(hostnames, pairs)
-        assert other.last_failure_report.resumed_chunks == 0
-
-    def test_runtime_knob_validation(self):
-        store, _, _ = _make_world(versions=3)
-        with pytest.raises(ValueError):
-            SweepEngine(store, resilience=None, checkpoint_dir="/tmp/x")
-        with pytest.raises(ValueError):
-            SweepEngine(store, resilience=None, fault_plan=FaultPlan({}))
+        assert other.last_report.resumed == 0
 
 
 class TestKillAndResume:
@@ -411,12 +415,13 @@ class TestKillAndResume:
         its checkpoints and ends bit-identical to an uninterrupted run.
 
         The child sweeps serially with a 60s hang injected on the 4th
-        host chunk, so the kill deterministically lands after chunks
-        0-2 have spilled and before anything later completes.
+        chunk, so the kill deterministically lands after chunks 0-2
+        have been checkpointed and before anything later completes.
         """
         store, hostnames, pairs = _make_world()
         serial = SweepEngine(store).sweep(hostnames, pairs)
         checkpoint_dir = str(tmp_path / "spill")
+        ledger = os.path.join(checkpoint_dir, "checkpoints")
         script = f"""
 import datetime
 import sys
@@ -427,7 +432,7 @@ from repro.runtime import Fault, FaultKind, FaultPlan
 from repro.sweep import SweepEngine
 
 store, hostnames, pairs = _make_world()
-plan = FaultPlan({{"host-3": Fault(FaultKind.HANG, attempts=1, hang_seconds=60.0)}})
+plan = FaultPlan({{"classify-3": Fault(FaultKind.HANG, attempts=1, hang_seconds=60.0)}})
 engine = SweepEngine(store, chunk_size=8, checkpoint_dir={checkpoint_dir!r}, fault_plan=plan)
 engine.sweep(hostnames, pairs)
 """
@@ -436,10 +441,8 @@ engine.sweep(hostnames, pairs)
             deadline = time.monotonic() + 60
             spilled = 0
             while time.monotonic() < deadline:
-                if os.path.isdir(checkpoint_dir):
-                    spilled = sum(
-                        1 for name in os.listdir(checkpoint_dir) if name.endswith(".pkl")
-                    )
+                if os.path.isdir(ledger):
+                    spilled = sum(1 for name in os.listdir(ledger) if name.endswith(".pkl"))
                     if spilled >= 3:
                         break
                 time.sleep(0.05)
@@ -450,8 +453,8 @@ engine.sweep(hostnames, pairs)
 
         resumed_engine = SweepEngine(store, chunk_size=8, checkpoint_dir=checkpoint_dir)
         resumed = resumed_engine.sweep(hostnames, pairs)
-        report = resumed_engine.last_failure_report
+        report = resumed_engine.last_report
         assert resumed == serial
-        assert report.resumed_chunks >= 3
-        assert report.executed_chunks == report.total_chunks - report.resumed_chunks
+        assert report.resumed >= 3
+        assert report.executed == report.total - report.resumed
         assert not report.degraded

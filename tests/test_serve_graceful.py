@@ -226,3 +226,40 @@ class TestSlowClients:
                 SnapshotRegistry(make_store()),
                 request_timeout=0.0,
             )
+
+
+class TestCliSignals:
+    def test_sigterm_right_after_listening_line_drains_and_exits_zero(self):
+        """The stop handlers are in place before ``psl-serve`` announces
+        its address: SIGTERM sent the moment "listening on" appears
+        drains the server (exit 0), never kills it (exit -15)."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), os.pardir, "src"), env.get("PYTHONPATH", "")]
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.serve.cli", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        try:
+            for line in child.stdout:
+                if line.startswith("listening on"):
+                    child.send_signal(signal.SIGTERM)
+                    break
+            else:
+                pytest.fail("psl-serve exited before listening")
+            tail = child.stdout.read()
+            assert child.wait(timeout=60) == 0
+            assert "drained cleanly" in tail
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()

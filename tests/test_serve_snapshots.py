@@ -472,6 +472,18 @@ class TestRegistryIngest:
         assert snapshot.index == 3
         assert registry.resident(3).psl.match("app.dev").site == "app.dev"
 
+    def test_activate_with_full_lru_keeps_the_new_active_resident(self, store):
+        """Eviction runs after the swap is published: a full LRU drops
+        the outgoing active, never the snapshot just activated."""
+        registry = SnapshotRegistry(store, resident_capacity=1)
+        registry.ingest(datetime.date(2023, 1, 1), self.delta("foo.dev"))
+        activated = registry.activate(0)
+        assert registry.active is activated
+        assert registry.resident_indexes() == (0,)
+        assert registry.resident(0) is activated  # served resident, not rebuilt
+        rows = registry.memory_accounting().versions
+        assert [row["index"] for row in rows] == [0]
+
     @pytest.mark.parametrize("with_blob", [True, False], ids=["blob", "no-blob"])
     def test_evicted_ingested_version_rematerializes_identically(self, store, with_blob):
         """An ingested version the resident LRU dropped comes back as the

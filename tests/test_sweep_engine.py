@@ -1,4 +1,4 @@
-"""The sweep engine vs. the one-shot and incremental oracles.
+"""The sweep engine vs. the one-shot oracles.
 
 The engine's whole value proposition is that its delta-driven, chunked,
 possibly-parallel sweep is *indistinguishable* from rebuilding the
@@ -6,11 +6,11 @@ world per version.  These tests hold it to that:
 
 * property tests replay randomized delta sequences (normal, wildcard,
   and exception rules) over randomized hostname universes and compare
-  every per-version number against ``group_sites`` on a fresh checkout
-  and against an :class:`IncrementalGrouper` replay;
+  every per-version number against ``group_sites`` and the streaming
+  third-party counter on a fresh checkout;
 * a deterministic multi-chunk run asserts ``workers=2`` output is
   bit-identical to ``workers=1``;
-* unit tests pin the chunking and validation edges.
+* unit tests pin the universe chunking and validation edges.
 """
 
 import datetime
@@ -24,8 +24,9 @@ from repro.history.store import VersionStore
 from repro.net.hostname import is_ip_literal
 from repro.psl.diff import RuleDelta
 from repro.psl.rules import Rule
-from repro.sweep import DEFAULT_CHUNK_SIZE, SweepEngine, chunk_hosts, chunk_pairs, prepare_hosts
-from repro.webgraph.sites import IncrementalGrouper, group_sites
+from repro.classify.columnar import universe_chunks
+from repro.sweep import DEFAULT_CHUNK_SIZE, SweepEngine
+from repro.webgraph.sites import group_sites
 from repro.webgraph.stream import count_third_party_streaming
 
 # -- strategies (the idiom of test_properties.py) -----------------------------
@@ -116,19 +117,6 @@ class TestEngineMatchesOracles:
             assert total == len(pairs)
             assert series.third_party[index] == third
 
-    @settings(max_examples=40, deadline=None)
-    @given(hostnames_strategy, st.lists(rule_sets, min_size=1, max_size=5))
-    def test_serial_sweep_equals_incremental_grouper_replay(self, hostnames, rule_steps):
-        store = store_from_steps(rule_steps)
-        sites = SweepEngine(store).sweep_sites(hostnames)
-
-        grouper = IncrementalGrouper(store.rules_at(0), hostnames)
-        replay = [grouper.site_count]
-        for version in store.versions[1:]:
-            grouper.apply(version.delta)
-            replay.append(grouper.site_count)
-        assert list(sites) == replay
-
     @settings(max_examples=25, deadline=None)
     @given(hostnames_strategy, st.lists(rule_sets, min_size=2, max_size=4))
     def test_tiny_chunks_change_nothing(self, hostnames, rule_steps):
@@ -190,34 +178,18 @@ class TestParallelIdentity:
         store, hostnames = _random_world(hosts=40, versions=8)
         engine = SweepEngine(store, workers=4)
         # At least 4 chunks per worker when the universe allows it.
-        assert engine._effective_chunk_size(len(prepare_hosts(hostnames))) <= 3
+        assert engine._effective_chunk_size(len(hostnames)) <= 3
 
 
 # -- narrow entry points and edges --------------------------------------------
 
 
 class TestEngineApi:
-    def test_narrow_apis_match_combined_sweep(self):
-        store, hostnames = _random_world(hosts=60, versions=10)
-        pairs = pairs_from(hostnames)
-        engine = SweepEngine(store)
-        combined = engine.sweep(hostnames, pairs)
-        assert engine.sweep_sites(hostnames) == combined.site_counts
-        assert engine.sweep_third_party(pairs) == combined.third_party
-        assert engine.sweep_divergence(hostnames) == combined.divergence
-
-    def test_unrequested_series_are_zero(self):
-        store, hostnames = _random_world(hosts=20, versions=5)
-        series = SweepEngine(store).sweep(hostnames, (), sites=False, divergence=False)
-        assert series.third_party == (0,) * len(store)
-        assert series.site_counts == (0,) * len(store)
-        assert series.divergence == (0,) * len(store)
-        assert series.version_count == len(store)
-
     def test_divergence_against_arbitrary_baseline(self):
         store, hostnames = _random_world(hosts=30, versions=6)
-        divergence = SweepEngine(store).sweep_divergence(hostnames, baseline_index=0)
+        divergence = SweepEngine(store).sweep(hostnames, baseline_index=0).divergence
         assert divergence[0] == 0  # version 0 never diverges from itself
+        assert any(divergence[1:])
 
     def test_duplicate_hostnames_are_counted_once(self):
         store, hostnames = _random_world(hosts=20, versions=4)
@@ -232,20 +204,28 @@ class TestEngineApi:
         # The pool-construction edge: min(workers, 0 tasks) must never
         # reach ProcessPoolExecutor(max_workers=0).
         store, _ = _random_world(hosts=5, versions=3)
-        for engine in (
-            SweepEngine(store, workers=4),
-            SweepEngine(store, workers=4, resilience=None),
-        ):
-            series = engine.sweep((), ())
-            assert series.site_counts == (0,) * len(store)
-            assert series.hostname_count == 0 and series.request_count == 0
+        series = SweepEngine(store, workers=4).sweep((), ())
+        assert series.site_counts == (0,) * len(store)
+        assert series.hostname_count == 0 and series.request_count == 0
 
-    def test_fault_free_runtime_is_bit_identical_to_raw(self):
+    def test_fault_free_runtime_is_bit_identical_to_raw(self, tmp_path):
+        """The runtime (executor, checkpoints, spill checks) adds nothing
+        to the numbers: a plain loop over the same kernel tasks, merged
+        by the same engine, gives the identical series."""
+        from repro.classify.engine import ClassifyEngine
+        from repro.classify.partials import classify_chunk
+
         store, hostnames = _random_world(hosts=60, versions=10)
         pairs = pairs_from(hostnames)
-        raw = SweepEngine(store, resilience=None).sweep(hostnames, pairs)
-        resilient = SweepEngine(store).sweep(hostnames, pairs)
-        assert resilient == raw
+        resilient = SweepEngine(store, chunk_size=16).sweep(hostnames, pairs)
+        engine = ClassifyEngine(
+            store, version_indexes=range(len(store)), run_dir=str(tmp_path)
+        )
+        tasks = engine.tasks(universe_chunks(hostnames, pairs, 16))
+        rows = engine.merge([classify_chunk(task) for task in tasks])
+        assert resilient.site_counts == tuple(row.sites.sites for row in rows)
+        assert resilient.third_party == tuple(row.third_party.third_party for row in rows)
+        assert resilient.divergence == tuple(row.misclassified_hostnames for row in rows)
 
     def test_rejects_bad_workers_and_chunks(self):
         store, _ = _random_world(hosts=5, versions=3)
@@ -257,17 +237,36 @@ class TestEngineApi:
 
 class TestChunking:
     def test_chunks_partition_the_universe(self):
-        prepared = prepare_hosts([f"h{i}.example.com" for i in range(10)])
-        chunks = chunk_hosts(prepared, 3)
+        """Each distinct hostname has weight 1 in exactly one chunk."""
+        hostnames = [f"h{i}.example.com" for i in range(10)]
+        chunks = universe_chunks(hostnames + hostnames[:3], (), 3)
         assert [chunk.index for chunk in chunks] == [0, 1, 2, 3]
-        flattened = [host for chunk in chunks for host, _ in chunk.entries]
-        assert flattened == [host for host, _ in prepared]
+        weighted = [
+            host
+            for chunk in chunks
+            for host, weight in zip(chunk.hosts, chunk.occurrences)
+            if weight
+        ]
+        assert weighted == hostnames
+        assert sum(chunk.hostnames for chunk in chunks) == len(hostnames)
 
     def test_pair_chunks_partition_the_stream(self):
-        pairs = [(f"a{i}.com", f"b{i}.net") for i in range(7)]
-        chunks = chunk_pairs(pairs, 4)
-        assert [len(chunk.pairs) for chunk in chunks] == [4, 3]
-        assert [pair for chunk in chunks for pair in chunk.pairs] == pairs
+        """Every pair lands in exactly one chunk — its page host's —
+        and an endpoint the chunk does not own rides along at weight 0."""
+        pages = [f"a{i}.com" for i in range(7)]
+        requests = [f"b{i}.net" for i in range(7)]
+        pairs = list(zip(pages, requests))
+        chunks = universe_chunks(pages + requests, pairs, 4)
+        assert [len(chunk.pages) for chunk in chunks] == [4, 3, 0, 0]
+        rebuilt = [
+            (chunk.hosts[page], chunk.hosts[request])
+            for chunk in chunks
+            for page, request in zip(chunk.pages, chunk.requests)
+        ]
+        assert rebuilt == pairs
+        first = chunks[0]
+        weights = dict(zip(first.hosts, first.occurrences))
+        assert weights["a0.com"] == 1 and weights["b0.net"] == 0
 
     def test_default_chunk_size_is_sane(self):
         assert DEFAULT_CHUNK_SIZE >= 1024

@@ -1,9 +1,12 @@
 """Tests for site grouping, one-shot and incremental."""
 
+from collections import Counter
+
 from repro.psl.diff import RuleDelta
+from repro.psl.list import PublicSuffixList
 from repro.psl.rules import Rule
 from repro.psl.trie import SuffixTrie
-from repro.webgraph.sites import IncrementalGrouper, group_sites, site_for, site_metrics
+from repro.webgraph.sites import group_sites, site_for, site_metrics
 
 HOSTS = [
     "a.github.io",
@@ -59,65 +62,60 @@ class TestGroupSites:
 
 
 class TestIncrementalGrouper:
-    def test_initial_matches_one_shot(self, small_psl):
-        grouper = IncrementalGrouper(small_psl.rules, HOSTS)
-        assert dict(grouper.assignment) == group_sites(small_psl, HOSTS)
+    """Incremental regrouping across deltas — the version-sweep
+    kernel's step (:func:`repro.classify.partials.classify_chunk` over
+    a rule chain) — against one-shot grouping.  Site sizes are read
+    back from the kernel's per-version spill."""
 
-    def test_apply_add_rule(self):
-        grouper = IncrementalGrouper(_rules("com", "io"), HOSTS)
-        assert grouper.site_of("a.github.io") == "github.io"
-        changed = grouper.apply(
-            RuleDelta(frozenset(_rules("github.io")), frozenset())
-        )
-        assert set(changed) == {"a.github.io", "b.github.io"}
-        assert grouper.site_of("a.github.io") == "a.github.io"
+    def test_initial_matches_one_shot(self, small_psl, kernel_replay):
+        _, (initial,) = kernel_replay(small_psl.rules, (), HOSTS)
+        assert initial == Counter(group_sites(small_psl, HOSTS).values())
 
-    def test_apply_remove_rule(self):
-        grouper = IncrementalGrouper(_rules("com", "io", "github.io"), HOSTS)
-        changed = grouper.apply(
-            RuleDelta(frozenset(), frozenset(_rules("github.io")))
-        )
-        assert set(changed) == {"a.github.io", "b.github.io"}
-        assert grouper.site_of("a.github.io") == "github.io"
+    def test_apply_add_rule(self, kernel_replay):
+        delta = RuleDelta(frozenset(_rules("github.io")), frozenset())
+        _, (before, after) = kernel_replay(_rules("com", "io"), [delta], HOSTS)
+        assert before["github.io"] == 3
+        assert after["a.github.io"] == after["b.github.io"] == after["github.io"] == 1
 
-    def test_site_count_maintained(self):
-        grouper = IncrementalGrouper(_rules("com", "io"), HOSTS)
-        before = grouper.site_count
-        grouper.apply(RuleDelta(frozenset(_rules("github.io")), frozenset()))
+    def test_apply_remove_rule(self, kernel_replay):
+        delta = RuleDelta(frozenset(), frozenset(_rules("github.io")))
+        _, (before, after) = kernel_replay(_rules("com", "io", "github.io"), [delta], HOSTS)
+        assert before["a.github.io"] == before["b.github.io"] == 1
+        assert "a.github.io" not in after and after["github.io"] == 3
+
+    def test_site_count_maintained(self, kernel_replay):
+        delta = RuleDelta(frozenset(_rules("github.io")), frozenset())
+        _, (before, after) = kernel_replay(_rules("com", "io"), [delta], HOSTS)
         # The github.io site (3 hosts) splits into 3 one-host sites.
-        assert grouper.site_count == before + 2
+        assert len(after) == len(before) + 2
 
-    def test_unrelated_delta_changes_nothing(self):
-        grouper = IncrementalGrouper(_rules("com", "io"), HOSTS)
-        changed = grouper.apply(RuleDelta(frozenset(_rules("nothing.example")), frozenset()))
-        assert changed == []
+    def test_unrelated_delta_changes_nothing(self, kernel_replay):
+        delta = RuleDelta(frozenset(_rules("nothing.example")), frozenset())
+        partial, (before, after) = kernel_replay(_rules("com", "io"), [delta], HOSTS)
+        assert after == before
+        assert partial.misclassified == (0, 0)
 
-    def test_wildcard_delta(self):
+    def test_wildcard_delta(self, kernel_replay):
         hosts = ["a.b.ck", "b.ck", "c.ck"]
-        grouper = IncrementalGrouper([], hosts)
-        assert grouper.site_of("a.b.ck") == "b.ck"
-        grouper.apply(RuleDelta(frozenset(_rules("*.ck")), frozenset()))
-        assert grouper.site_of("a.b.ck") == "a.b.ck"
+        delta = RuleDelta(frozenset(_rules("*.ck")), frozenset())
+        _, (before, after) = kernel_replay([], [delta], hosts)
+        assert before == {"b.ck": 2, "c.ck": 1}
+        assert after == {"a.b.ck": 1, "b.ck": 1, "c.ck": 1}
 
-    def test_equivalence_after_many_deltas(self, small_psl):
-        grouper = IncrementalGrouper([], HOSTS)
+    def test_equivalence_after_many_deltas(self, kernel_replay):
         deltas = [
             RuleDelta(frozenset(_rules("com", "io")), frozenset()),
             RuleDelta(frozenset(_rules("github.io")), frozenset()),
             RuleDelta(frozenset(_rules("co.uk", "uk")), frozenset()),
             RuleDelta(frozenset(), frozenset(_rules("io"))),
         ]
-        for delta in deltas:
-            grouper.apply(delta)
+        _, counters = kernel_replay([], deltas, HOSTS)
         rules = set()
-        for delta in deltas:
+        for delta, counter in zip(deltas, counters[1:]):
             rules -= delta.removed
             rules |= delta.added
-        from repro.psl.list import PublicSuffixList
+            assert counter == Counter(group_sites(PublicSuffixList(rules), HOSTS).values())
 
-        assert dict(grouper.assignment) == group_sites(PublicSuffixList(rules), HOSTS)
-
-    def test_metrics_object(self):
-        grouper = IncrementalGrouper(_rules("com"), ["a.com", "b.com"])
-        metrics = grouper.metrics()
-        assert metrics.hostname_count == 2 and metrics.site_count == 2
+    def test_metrics_object(self, kernel_replay):
+        partial, (initial,) = kernel_replay(_rules("com"), (), ["a.com", "b.com"])
+        assert partial.hostnames == 2 and len(initial) == 2

@@ -1,11 +1,12 @@
 """Tests for third-party request classification."""
 
 from repro.psl.diff import RuleDelta
+from repro.psl.list import PublicSuffixList
 from repro.psl.rules import Rule
 from repro.webgraph.archive import Snapshot
 from repro.webgraph.records import Page
-from repro.webgraph.sites import IncrementalGrouper, group_sites
-from repro.webgraph.thirdparty import ThirdPartyCounter, count_third_party
+from repro.webgraph.sites import group_sites
+from repro.webgraph.thirdparty import count_third_party
 
 
 def _rules(*texts):
@@ -35,38 +36,42 @@ class TestOneShot:
 
 
 class TestIncremental:
-    def test_initial_count_matches_one_shot(self, small_psl):
-        snap = _snapshot()
-        assignment = group_sites(small_psl, snap.hostnames)
-        counter = ThirdPartyCounter(assignment, snap)
-        assert counter.count == count_third_party(assignment, snap)
-        assert counter.pair_count == snap.request_count
+    """The third-party count the version-sweep kernel carries across
+    deltas, re-checking only requests whose endpoints changed site."""
 
-    def test_update_after_rule_addition(self):
+    def _replay(self, kernel_replay, rules, deltas):
         snap = _snapshot()
-        grouper = IncrementalGrouper(_rules("com", "io"), snap.hostnames)
-        counter = ThirdPartyCounter(grouper.assignment, snap)
-        before = counter.count  # a/b.pages.io same site -> 1 third-party (ads)
-        changed = grouper.apply(RuleDelta(frozenset(_rules("pages.io")), frozenset()))
-        after = counter.update(grouper.assignment, changed)
+        partial, _ = kernel_replay(rules, deltas, snap.hostnames, snap.iter_request_pairs())
+        return snap, partial
+
+    def test_initial_count_matches_one_shot(self, small_psl, kernel_replay):
+        snap, partial = self._replay(kernel_replay, small_psl.rules, ())
+        assignment = group_sites(small_psl, snap.hostnames)
+        assert partial.third_party == (count_third_party(assignment, snap),)
+        assert partial.total_pairs == snap.request_count
+
+    def test_update_after_rule_addition(self, kernel_replay):
+        delta = RuleDelta(frozenset(_rules("pages.io")), frozenset())
+        _, partial = self._replay(kernel_replay, _rules("com", "io"), [delta])
+        before, after = partial.third_party  # a/b.pages.io same site -> 1 (ads)
         # The cross-tenant request b.pages.io is now third-party too.
         assert after == before + 1
 
-    def test_update_is_consistent_with_recount(self):
-        snap = _snapshot()
-        grouper = IncrementalGrouper(_rules("com"), snap.hostnames)
-        counter = ThirdPartyCounter(grouper.assignment, snap)
-        for delta in (
+    def test_update_is_consistent_with_recount(self, kernel_replay):
+        deltas = [
             RuleDelta(frozenset(_rules("io")), frozenset()),
             RuleDelta(frozenset(_rules("pages.io")), frozenset()),
             RuleDelta(frozenset(), frozenset(_rules("pages.io"))),
-        ):
-            changed = grouper.apply(delta)
-            counter.update(grouper.assignment, changed)
-            assert counter.count == count_third_party(grouper.assignment, snap)
+        ]
+        snap, partial = self._replay(kernel_replay, _rules("com"), deltas)
+        rules = set(_rules("com"))
+        for delta, count in zip(deltas, partial.third_party[1:]):
+            rules = (rules - delta.removed) | delta.added
+            assignment = group_sites(PublicSuffixList(rules), snap.hostnames)
+            assert count == count_third_party(assignment, snap)
 
-    def test_update_with_no_changes(self, small_psl):
-        snap = _snapshot()
-        assignment = group_sites(small_psl, snap.hostnames)
-        counter = ThirdPartyCounter(assignment, snap)
-        assert counter.update(assignment, []) == counter.count
+    def test_update_with_no_changes(self, small_psl, kernel_replay):
+        _, partial = self._replay(
+            kernel_replay, small_psl.rules, [RuleDelta(frozenset(), frozenset())]
+        )
+        assert partial.third_party[1] == partial.third_party[0]
